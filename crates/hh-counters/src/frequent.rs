@@ -73,7 +73,8 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
     ///
     /// Returns [`Error::CorruptSnapshot`] when the parts are inconsistent
     /// (more entries than capacity, non-positive or out-of-order values,
-    /// duplicates, or stored mass exceeding the stream length).
+    /// duplicates, stored mass exceeding the stream length, or raw counts
+    /// `decrements + value` whose sum overflows `u64`).
     pub fn from_parts(
         m: usize,
         stream_len: u64,
@@ -89,12 +90,21 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
                 entries.len()
             )));
         }
-        let total: u64 = entries.iter().map(|&(_, v)| v).sum();
+        let total = entries
+            .iter()
+            .try_fold(0u64, |acc, &(_, v)| acc.checked_add(v))
+            .ok_or_else(|| Error::corrupt_snapshot("Frequent stored mass overflows u64"))?;
         if total > stream_len {
             return Err(Error::corrupt_snapshot(format!(
                 "stored mass {total} exceeds stream length {stream_len}"
             )));
         }
+        // Each entry is stored raw, at `decrements + value`; their sum is the
+        // summary's counter sum and bounds every single raw count.
+        (entries.len() as u64)
+            .checked_mul(decrements)
+            .and_then(|base| base.checked_add(total))
+            .ok_or_else(|| Error::corrupt_snapshot("Frequent raw counter mass overflows u64"))?;
         let mut s = Self::new(m);
         s.stream_len = stream_len;
         s.offset = decrements;
@@ -240,10 +250,16 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for Frequent<I> {
     /// Allocation-free snapshot straight out of the bucket list, with raw
     /// counts translated to logical values on the way out.
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
+        self.top_entries_into(usize::MAX, out);
+    }
+
+    /// The bounded bucket-list walk: stops after `k` entries.
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
-        out.reserve(self.summary.len());
-        self.summary
-            .for_each_desc(|item, raw, _| out.push((item.clone(), self.logical(raw))));
+        out.reserve(k.min(self.summary.len()));
+        self.summary.for_each_desc(k, |item, raw, _| {
+            out.push((item.clone(), self.logical(raw)))
+        });
     }
 
     fn stream_len(&self) -> u64 {

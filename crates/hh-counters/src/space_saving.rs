@@ -126,8 +126,8 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     ///
     /// Returns [`Error::CorruptSnapshot`] when the parts are inconsistent:
     /// more entries than capacity, `err > count`, duplicate items, counts
-    /// out of order, or counter mass differing from `stream_len` (the
-    /// Appendix C invariant).
+    /// out of order, counter mass differing from `stream_len` (the
+    /// Appendix C invariant), or sums that overflow `u64`.
     pub fn from_parts(
         m: usize,
         stream_len: u64,
@@ -143,11 +143,20 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
                 entries.len()
             )));
         }
-        let total: u64 = entries.iter().map(|&(_, c, _)| c).sum();
+        let total = entries
+            .iter()
+            .try_fold(0u64, |acc, &(_, c, _)| acc.checked_add(c))
+            .ok_or_else(|| Error::corrupt_snapshot("SpaceSaving counter mass overflows u64"))?;
         if total != stream_len {
             return Err(Error::corrupt_snapshot(format!(
                 "SpaceSaving counter mass {total} must equal stream length {stream_len}"
             )));
+        }
+        // Every upper bound is a count (at most `stream_len`) plus the slack.
+        if stream_len.checked_add(absorbed_slack).is_none() {
+            return Err(Error::corrupt_snapshot(
+                "stream length plus absorbed slack overflows u64",
+            ));
         }
         let mut s = Self::new(m);
         s.stream_len = stream_len;
@@ -274,10 +283,15 @@ impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for SpaceSaving<I> {
     /// Allocation-free snapshot straight out of the bucket list
     /// ([`StreamSummary::for_each_desc`]).
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
+        self.top_entries_into(usize::MAX, out);
+    }
+
+    /// The bounded bucket-list walk: stops after `k` entries.
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
         out.clear();
-        out.reserve(self.summary.len());
+        out.reserve(k.min(self.summary.len()));
         self.summary
-            .for_each_desc(|item, count, _| out.push((item.clone(), count)));
+            .for_each_desc(k, |item, count, _| out.push((item.clone(), count)));
     }
 
     fn stream_len(&self) -> u64 {

@@ -5,12 +5,26 @@
 //! list of *buckets* in strictly increasing count order; each bucket holds a
 //! doubly-linked FIFO of the entries sharing that exact count. This gives
 //!
-//! * O(1) `increment by 1` (move an entry to the adjacent bucket),
+//! * O(1) `increment by 1` (move an entry to the adjacent bucket, or open a
+//!   new bucket right after its own),
 //! * O(1) `evict_min` (detach the oldest entry of the head bucket),
 //! * O(1) amortized "decrement all by 1" for FREQUENT via an *offset* trick
 //!   (bump a global offset, then pop head buckets whose raw count fell to
 //!   the offset — each pop is charged to the insertion that created the
 //!   entry).
+//!
+//! An `insert` at an arbitrary count, and an `increment` by a count large
+//! enough to jump past other buckets, have to *find* their target bucket.
+//! That search walks in either direction from a known bucket, so its cost
+//! is the number of buckets between that start and the target. An
+//! increment starts from the entry's own bucket. An insert starts from the
+//! head when the target is at most one bucket above it (a streaming insert
+//! after an eviction), and otherwise from the *finger* (the bucket the
+//! last `insert` landed in): an ascending rebuild
+//! ([`crate::SpaceSaving::from_parts`]) and a replay of donor counters in
+//! descending order (the Theorem 11 merge) each land next to the previous
+//! insert, so they cost O(1) per counter however many buckets the list
+//! holds.
 //!
 //! # Memory layout
 //!
@@ -113,6 +127,11 @@ pub struct StreamSummary<I> {
     free_buckets: Vec<u32>,
     head: u32,
     tail: u32,
+    /// The bucket the last `insert` landed in, moved to a neighbour when
+    /// that bucket is unlinked: a start for the next bucket search, so a
+    /// run of inserts at nearby counts walks only the distance between
+    /// them. `NIL` exactly when the list is empty.
+    finger: u32,
     /// Open-addressing item index: item hash → entry id.
     index: RawIndex,
     hasher: FxBuildHasher,
@@ -140,6 +159,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
             free_buckets: Vec::new(),
             head: NIL,
             tail: NIL,
+            finger: NIL,
             index: RawIndex::default(),
             hasher: FxBuildHasher::default(),
             len: 0,
@@ -302,6 +322,9 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         } else {
             self.bmeta[next as usize].prev = prev;
         }
+        if b == self.finger {
+            self.finger = if prev == NIL { next } else { prev };
+        }
         self.free_buckets.push(b);
     }
 
@@ -348,14 +371,27 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     }
 
     /// Finds the bucket holding exactly `count`, creating one in order if it
-    /// does not exist. `start` is a bucket known to have `bucket.count <
-    /// count` (or `NIL` to scan from the head); the walk is O(1) for the +1
-    /// increments that dominate streaming workloads.
+    /// does not exist, by walking from the linked bucket `start` towards
+    /// `count` in either direction (`start` is `NIL` only for an empty
+    /// list). The bucket found depends on `count` alone; `start` only
+    /// decides how many buckets the walk visits.
     fn bucket_at(&mut self, count: u64, start: u32) -> u32 {
-        let mut cur = if start == NIL { self.head } else { start };
-        while cur != NIL && self.bcount[cur as usize] < count {
-            cur = self.bmeta[cur as usize].next;
+        let mut cur = start;
+        if cur != NIL && self.bcount[cur as usize] >= count {
+            loop {
+                let prev = self.bmeta[cur as usize].prev;
+                if prev == NIL || self.bcount[prev as usize] < count {
+                    break;
+                }
+                cur = prev;
+            }
+        } else {
+            while cur != NIL && self.bcount[cur as usize] < count {
+                cur = self.bmeta[cur as usize].next;
+            }
         }
+        // `cur` is now the first bucket with a count >= `count`, or NIL
+        // when every bucket is smaller.
         if cur != NIL && self.bcount[cur as usize] == count {
             cur
         } else {
@@ -374,7 +410,23 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
         debug_assert!(!self.contains(&item), "insert of an already-stored item");
         let hash = self.hash_of(&item);
         let e = self.alloc_entry(item, err);
-        let b = self.bucket_at(count, NIL);
+        // A target no higher than the second bucket is one step from the
+        // head: the streaming insert just above an evicted minimum. Any
+        // other starts from the finger, which a rebuild or a replay that
+        // inserts in count order leaves next to the target.
+        let head = self.head;
+        let start = if head == NIL {
+            NIL
+        } else {
+            let second = self.bmeta[head as usize].next;
+            if second == NIL || count <= self.bcount[second as usize] {
+                head
+            } else {
+                self.finger
+            }
+        };
+        let b = self.bucket_at(count, start);
+        self.finger = b;
         self.attach_front(e, b);
         self.index.insert(hash, e);
         self.len += 1;
@@ -394,8 +446,10 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     }
 
     /// Increases `item`'s raw count by `by` (returns `false` when the item
-    /// is not stored). O(1) for `by == 1`; for larger `by` the cost is the
-    /// number of distinct counts skipped over.
+    /// is not stored). O(1) whenever no bucket lies strictly between the old
+    /// and the new count, which is always so for `by == 1`; a larger jump
+    /// walks up one bucket at a time, so it costs the number of buckets
+    /// strictly between the two counts.
     // lint:hot-path
     pub fn increment(&mut self, item: &I, by: u64) -> bool {
         let Some(e) = self.find(item) else {
@@ -549,24 +603,30 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
     pub fn snapshot_desc_into(&self, out: &mut Vec<SummaryEntry<I>>) {
         out.clear();
         out.reserve(self.len);
-        self.for_each_desc(|item, count, err| out.push((item.clone(), count, err)));
+        self.for_each_desc(usize::MAX, |item, count, err| {
+            out.push((item.clone(), count, err))
+        });
     }
 
-    /// Visits every entry in descending count order (the
-    /// [`StreamSummary::snapshot_desc`] order) without cloning items or
-    /// allocating — the primitive behind the `entries_into` reuse variants.
-    pub fn for_each_desc(&self, mut f: impl FnMut(&I, u64, u64)) {
+    /// Visits the first `limit` entries in descending count order (the
+    /// [`StreamSummary::snapshot_desc`] order; `usize::MAX` visits them
+    /// all) without cloning items or allocating — the primitive behind the
+    /// `entries_into` and `top_entries_into` reuse variants. The walk stops
+    /// after `limit` entries, so a top-k costs k, not the table size.
+    pub fn for_each_desc(&self, limit: usize, mut f: impl FnMut(&I, u64, u64)) {
+        let mut left = limit;
         let mut b = self.tail;
-        while b != NIL {
+        while b != NIL && left > 0 {
             let count = self.bcount[b as usize];
             let mut e = self.bmeta[b as usize].front;
-            while e != NIL {
+            while e != NIL && left > 0 {
                 f(
                     // lint:allow(panic-freedom) unreachable: the walk follows live bucket links, and linked entries always hold their item (SoA invariant)
                     self.items[e as usize].as_ref().expect("live entry"),
                     count,
                     self.eerr[e as usize],
                 );
+                left -= 1;
                 e = self.elink[e as usize].next;
             }
             b = self.bmeta[b as usize].prev;
@@ -575,10 +635,12 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
 
     /// Exhaustive structural self-check used by the property tests: list
     /// linkage, strict bucket ordering, index agreement, `len` and
-    /// `counter_sum` bookkeeping.
+    /// `counter_sum` bookkeeping, and a finger that is a linked bucket (or
+    /// `NIL` for an empty list).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         self.index.check_invariants();
+        let mut finger_linked = false;
         let mut seen_entries = 0usize;
         let mut sum = 0u64;
         let mut b = self.head;
@@ -594,6 +656,7 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
                 self.bmeta[b as usize].len > 0,
                 "no empty buckets in the list"
             );
+            finger_linked |= b == self.finger;
             // walk entries front -> back
             let mut e = self.bmeta[b as usize].front;
             let mut prev_e = NIL;
@@ -619,6 +682,10 @@ impl<I: Eq + Hash + Clone> StreamSummary<I> {
             b = self.bmeta[b as usize].next;
         }
         assert_eq!(self.tail, prev_b, "tail pointer");
+        assert!(
+            finger_linked || (self.finger == NIL && self.head == NIL),
+            "finger is a linked bucket, or NIL for an empty list"
+        );
         assert_eq!(seen_entries, self.len, "len bookkeeping");
         assert_eq!(seen_entries, self.index.len(), "index size");
         assert_eq!(sum, self.counter_sum, "counter_sum bookkeeping");
@@ -789,6 +856,33 @@ mod tests {
         // arena should not have grown past one round's worth
         assert!(s.items.len() <= 100);
         assert!(s.bcount.len() <= 101);
+    }
+
+    #[test]
+    fn finger_moves_off_unlinked_buckets() {
+        // descending inserts land next to the finger; unlinking the
+        // finger's bucket moves it to a live neighbour, and emptying the
+        // list clears it
+        let mut s = StreamSummary::new();
+        for (item, count) in [(1u64, 9), (2, 7), (3, 5), (4, 3)] {
+            s.insert(item, count, 0);
+            s.check_invariants();
+        }
+        assert_eq!(s.remove(&4), Some((3, 0)));
+        s.check_invariants();
+        s.insert(5, 4, 0);
+        s.insert(6, 8, 0);
+        s.check_invariants();
+        let counts: Vec<u64> = s.snapshot_asc().iter().map(|&(_, c, _)| c).collect();
+        assert_eq!(counts, vec![4, 5, 7, 8, 9]);
+        assert_eq!(s.pop_le(5).len(), 2);
+        s.check_invariants();
+        while s.evict_min().is_some() {
+            s.check_invariants();
+        }
+        s.insert(7, 1, 0);
+        s.check_invariants();
+        assert_eq!(s.count(&7), Some(1));
     }
 
     #[test]

@@ -211,6 +211,16 @@ pub trait FrequencyEstimator<I: Eq + Hash + Clone> {
         out.append(&mut self.entries());
     }
 
+    /// The first `k` rows of [`FrequencyEstimator::entries`] written into a
+    /// caller-owned buffer (cleared first). The default fills the whole
+    /// snapshot and truncates; implementations backed by
+    /// [`crate::stream_summary::StreamSummary`] override it to stop the
+    /// walk after `k` entries, so a top-k query costs `k`, not `m`.
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        self.entries_into(out);
+        out.truncate(k);
+    }
+
     /// Total weight processed so far (`F1` of the consumed stream).
     fn stream_len(&self) -> u64;
 
@@ -309,6 +319,10 @@ impl<I: Eq + Hash + Clone, T: FrequencyEstimator<I> + ?Sized> FrequencyEstimator
 
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
         (**self).entries_into(out)
+    }
+
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        (**self).top_entries_into(k, out)
     }
 
     fn stream_len(&self) -> u64 {

@@ -134,17 +134,22 @@ pub fn top_json<I>(engine: &Engine<I>, k: usize) -> Result<String, Error>
 where
     I: ServeItem,
 {
-    let mut cells = Vec::new();
-    for row in engine.report().top_k(k) {
-        cells.push(format!(
+    let mut out = String::from("[");
+    for (i, row) in engine.report().top_k(k).into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
             "{{\"item\":{},\"count\":{},\"lower\":{},\"upper\":{}}}",
             serde_json::to_string(&row.item)?,
             row.estimate,
             row.lower,
             row.upper
-        ));
+        );
     }
-    Ok(format!("[{}]", cells.join(",")))
+    out.push(']');
+    Ok(out)
 }
 
 /// Renders one top-k report record: `{"v":1,"epoch":E,...}` for live

@@ -1646,6 +1646,12 @@ impl<I: EngineItem> Report<'_, I> {
     /// ```
     pub fn entries_into(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
         self.engine.backend.entries_into(pairs);
+        self.annotate(pairs, out);
+    }
+
+    /// Drains `(item, estimate)` pairs into interval-annotated rows (`out`
+    /// is cleared first).
+    fn annotate(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
         out.clear();
         out.reserve(pairs.len());
         for (item, estimate) in pairs.drain(..) {
@@ -1660,7 +1666,9 @@ impl<I: EngineItem> Report<'_, I> {
     }
 
     /// The `k` largest entries, most frequent first (subsumes the free
-    /// `topk::top_k` helper).
+    /// `topk::top_k` helper): the first `k` rows of [`Report::entries`].
+    /// Only those `k` rows are read out of the backend and annotated
+    /// ([`FrequencyEstimator::top_entries_into`]).
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1670,9 +1678,11 @@ impl<I: EngineItem> Report<'_, I> {
     /// assert_eq!(top, vec![1, 2]);
     /// ```
     pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I>> {
-        let mut entries = self.entries();
-        entries.truncate(k);
-        entries
+        let mut pairs = Vec::new();
+        let mut out = Vec::new();
+        self.engine.backend.top_entries_into(k, &mut pairs);
+        self.annotate(&mut pairs, &mut out);
+        out
     }
 
     /// The φ-heavy-hitters query, unified across bias directions: every
@@ -2093,9 +2103,10 @@ mod tests {
 
     #[test]
     fn every_algo_builds_and_ingests() {
+        let m = 64;
         for algo in AlgoKind::ALL {
             let mut e = EngineConfig::new(algo)
-                .counters(64)
+                .counters(m)
                 .seed(5)
                 .build::<u64>()
                 .expect("builds");
@@ -2103,6 +2114,16 @@ mod tests {
             assert_eq!(e.stream_len(), 2000, "{algo}");
             assert_eq!(e.algo(), algo);
             assert!(!e.report().top_k(3).is_empty(), "{algo}");
+            // the bounded top-k is exactly a prefix of the full report,
+            // ties included, for the overriding and the default backends
+            let all = e.report().entries();
+            for k in [0, 1, m / 2, m, m + 5] {
+                assert_eq!(
+                    e.report().top_k(k),
+                    all[..k.min(all.len())],
+                    "{algo} top_k({k})"
+                );
+            }
         }
     }
 
@@ -2294,6 +2315,60 @@ mod tests {
             entries: vec![(1u64, 3), (2, 2)],
         });
         assert!(Engine::from_snapshot(snap).is_err());
+    }
+
+    /// Snapshot JSON whose counts sum past `u64::MAX` is a typed error in
+    /// every build profile, never a wrapped sum or an overflow panic.
+    #[test]
+    fn overflowing_snapshot_counts_are_rejected() {
+        let half = u64::MAX / 2 + 1;
+        let snaps = [
+            // SPACESAVING counter mass wraps around to the stream length
+            Snapshot::SpaceSaving(SpaceSavingState {
+                capacity: 4,
+                stream_len: 1,
+                absorbed_slack: 0,
+                entries: vec![(1u64, u64::MAX, 0), (2, 2, 0)],
+            }),
+            // SPACESAVING slack on top of the stream length
+            Snapshot::SpaceSaving(SpaceSavingState {
+                capacity: 4,
+                stream_len: 3,
+                absorbed_slack: u64::MAX,
+                entries: vec![(1u64, 3, 0)],
+            }),
+            // FREQUENT stored mass
+            Snapshot::Frequent(FrequentState {
+                capacity: 4,
+                stream_len: u64::MAX,
+                decrements: 0,
+                entries: vec![(1u64, half), (2, half)],
+            }),
+            // FREQUENT raw count `decrements + value`
+            Snapshot::Frequent(FrequentState {
+                capacity: 4,
+                stream_len: 1,
+                decrements: u64::MAX,
+                entries: vec![(1u64, 1)],
+            }),
+            // FREQUENT raw counter mass over several entries
+            Snapshot::Frequent(FrequentState {
+                capacity: 4,
+                stream_len: 2,
+                decrements: half,
+                entries: vec![(1u64, 1), (2, 1)],
+            }),
+        ];
+        for snap in snaps {
+            let json = serde_json::to_string(&snap).unwrap();
+            assert!(
+                matches!(
+                    Engine::<u64>::from_json(&json),
+                    Err(Error::CorruptSnapshot(_))
+                ),
+                "{json}"
+            );
+        }
     }
 
     #[test]
