@@ -942,6 +942,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `hh merge` of two snapshots that are each valid but whose counts
+    /// sum past `u64::MAX` fails with a typed error, never a wrapped sum
+    /// or an overflow panic; so does a donor counter with `err > count`.
+    #[test]
+    fn merge_rejects_overflowing_snapshots() {
+        use hh::engine::SpaceSavingState;
+        let dir = std::env::temp_dir().join(format!("hh-cli-overflow-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, stream_len: u64, entries: Vec<(String, u64, u64)>| {
+            let snap = Snapshot::SpaceSaving(SpaceSavingState {
+                capacity: 4,
+                stream_len,
+                absorbed_slack: 0,
+                entries,
+            });
+            let path = dir.join(name);
+            std::fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let half = u64::MAX / 2 + 1;
+        let big = write("big.json", half, vec![("a".to_string(), half, 0)]);
+        let small = write("small.json", 1, vec![("a".to_string(), 1, 0)]);
+        let bad_err = write("err.json", 2, vec![("a".to_string(), 2, 3)]);
+        for (first, second) in [(&big, &big), (&small, &bad_err)] {
+            let o = opts(&["merge", "-k", "2", first, second]);
+            assert!(
+                matches!(run_merge(&o), Err(Error::CorruptSnapshot(_))),
+                "{first} + {second}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn serve_reports_live_and_final() {
         let o = opts(&[

@@ -135,19 +135,45 @@ impl<I: Eq + Hash + Clone> Frequent<I> {
     /// mass so the merged `estimate + decrements` upper bound and `F1` stay
     /// sound. Estimates keep underestimating: the replayed mass never
     /// exceeds the true combined frequencies.
-    pub fn absorb_parts(&mut self, entries: &[(I, u64)], decrements: u64, stream_len: u64) {
-        let mut mass = 0u64;
+    ///
+    /// Returns [`Error::CorruptSnapshot`], leaving `self` unchanged, when
+    /// the merged stream length, a raw counter or an upper estimate could
+    /// overflow `u64`.
+    pub fn absorb_parts(
+        &mut self,
+        entries: &[(I, u64)],
+        decrements: u64,
+        stream_len: u64,
+    ) -> Result<(), Error> {
+        let mass = entries
+            .iter()
+            .try_fold(0u64, |acc, &(_, v)| acc.checked_add(v))
+            .ok_or_else(|| Error::corrupt_snapshot("donor stored mass overflows u64"))?;
+        // Replaying `mass` occurrences raises the offset and any raw count
+        // by at most `mass`, so `top` bounds every raw count, and every
+        // `estimate + decrements`, after the merge.
+        let top = self
+            .summary
+            .max_count()
+            .map_or(self.offset, |raw| raw.max(self.offset))
+            .checked_add(mass)
+            .and_then(|t| t.checked_add(self.absorbed))
+            .and_then(|t| t.checked_add(decrements));
+        let merged_len = self.stream_len.checked_add(mass.max(stream_len));
+        if top.is_none() || merged_len.is_none() {
+            return Err(Error::corrupt_snapshot(
+                "merged Frequent counters or stream length overflow u64",
+            ));
+        }
         for (item, value) in entries {
-            if *value > 0 {
-                self.apply(item, *value);
-                mass += *value;
-            }
+            self.apply(item, *value);
         }
         // Decrement rounds the donor performed bound the mass its table no
         // longer holds (an unstored donor item has f ≤ decrements); fold
         // them into the merged bound and restore the true combined F1.
         self.absorbed += decrements;
         self.stream_len += stream_len.saturating_sub(mass);
+        Ok(())
     }
 
     fn logical(&self, raw: u64) -> u64 {

@@ -100,16 +100,46 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     /// by the donor's minimum counter `Δ` (plus any slack the donor itself
     /// had absorbed) — an item the donor did not store may still have
     /// occurred up to `Δ` times in its stream.
-    pub fn absorb_parts(&mut self, entries: &[(I, u64, u64)], capacity: usize, slack: u64) {
+    ///
+    /// Returns [`Error::CorruptSnapshot`], leaving `self` unchanged, when
+    /// an entry has `err > count` or the merged stream length plus the
+    /// merged slack, which bounds every upper estimate, overflows `u64`.
+    pub fn absorb_parts(
+        &mut self,
+        entries: &[(I, u64, u64)],
+        capacity: usize,
+        slack: u64,
+    ) -> Result<(), Error> {
+        let mut mass = 0u64;
+        for &(_, count, err) in entries {
+            check_err(count, err)?;
+            mass = mass
+                .checked_add(count)
+                .ok_or_else(|| Error::corrupt_snapshot("donor counter mass overflows u64"))?;
+        }
         let donor_min = if entries.len() >= capacity {
             entries.iter().map(|&(_, c, _)| c).min().unwrap_or(0)
         } else {
             0
         };
+        // Every merged counter is at most the merged stream length, so
+        // this sum bounds every count and upper estimate after the merge.
+        let bound = self
+            .stream_len
+            .checked_add(mass)
+            .and_then(|n| n.checked_add(self.absorbed_slack))
+            .and_then(|n| n.checked_add(donor_min))
+            .and_then(|n| n.checked_add(slack));
+        if bound.is_none() {
+            return Err(Error::corrupt_snapshot(
+                "merged stream length plus absorbed slack overflows u64",
+            ));
+        }
         for (item, count, err) in entries {
-            self.absorb_counter(item, *count, *err);
+            self.absorb_counter(item, *count, *err)?;
         }
         self.absorbed_slack += donor_min + slack;
+        Ok(())
     }
 
     /// Full snapshot including the per-entry error annotations, sorted by
@@ -165,11 +195,7 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
         // tie-breaking) matches the original summary exactly.
         let mut prev = 0u64;
         for (item, count, err) in entries.into_iter().rev() {
-            if err > count {
-                return Err(Error::corrupt_snapshot(format!(
-                    "err {err} exceeds count {count}"
-                )));
-            }
+            check_err(count, err)?;
             if count == 0 {
                 return Err(Error::corrupt_snapshot("stored counts must be positive"));
             }
@@ -193,16 +219,30 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
     /// annotation, so post-merge certified lower bounds (`c_i − err_i`)
     /// remain sound — the replayed `count` may itself overcount the donor
     /// stream by up to `err`.
-    pub fn absorb_counter(&mut self, item: &I, count: u64, err: u64) {
-        if count == 0 {
-            return;
+    ///
+    /// Returns [`Error::CorruptSnapshot`], leaving `self` unchanged, when
+    /// `err > count` or the stream length plus the absorbed slack would
+    /// overflow `u64`.
+    pub fn absorb_counter(&mut self, item: &I, count: u64, err: u64) -> Result<(), Error> {
+        check_err(count, err)?;
+        let merged_len = self.stream_len.checked_add(count);
+        if merged_len
+            .and_then(|n| n.checked_add(self.absorbed_slack))
+            .is_none()
+        {
+            return Err(Error::corrupt_snapshot(
+                "absorbed counter overflows stream length plus slack",
+            ));
         }
-        debug_assert!(err <= count, "a SPACESAVING counter bounds its own err");
+        if count == 0 {
+            return Ok(());
+        }
         self.apply(item, count);
         // `apply` either incremented the stored entry, inserted the item, or
         // evicted the minimum to admit it — in every case the item is now
         // stored and its annotation absorbs the donor's error term.
-        self.summary.add_err(item, err.min(count));
+        self.summary.add_err(item, err);
+        Ok(())
     }
 
     /// One SPACESAVING step for `count` occurrences of `item`, cloning the
@@ -239,6 +279,16 @@ impl<I: Eq + Hash + Clone> SpaceSaving<I> {
             assert!(err <= count, "err never exceeds count");
         }
     }
+}
+
+/// A SPACESAVING counter overcounts its item by at most its own count.
+fn check_err(count: u64, err: u64) -> Result<(), Error> {
+    if err > count {
+        return Err(Error::corrupt_snapshot(format!(
+            "err {err} exceeds count {count}"
+        )));
+    }
+    Ok(())
 }
 
 impl<I: Eq + Hash + Clone> FrequencyEstimator<I> for SpaceSaving<I> {

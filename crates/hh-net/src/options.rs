@@ -268,8 +268,11 @@ impl Due {
 ///     .shards(Some(2))
 ///     .report_every(3);
 /// let mut session: ServeSession<u64> = ServeSession::spawn(&opts).unwrap();
-/// assert!(!session.send_batch(&[1, 2]).unwrap().report);
-/// assert!(session.send_batch(&[3]).unwrap().report); // boundary crossed
+/// let mut staged = vec![1, 2];
+/// assert!(!session.send_batch(&mut staged).unwrap().report);
+/// assert!(staged.is_empty()); // moved into the shards, capacity kept
+/// staged.push(3);
+/// assert!(session.send_batch(&mut staged).unwrap().report); // boundary crossed
 /// let merged = session.finish().unwrap();
 /// assert_eq!(merged.stream_len(), 3);
 /// ```
@@ -387,14 +390,19 @@ impl<I: EngineItem> ServeSession<I> {
         Ok(self.note_routed(1))
     }
 
-    /// Routes a batch; returns which cadence boundaries it crossed (a
+    /// Routes a batch by move ([`Pipeline::send_owned`]) and leaves
+    /// `items` empty with its capacity, so a caller can restage into the
+    /// same vector; returns which cadence boundaries it crossed (a
     /// boundary inside the batch fires once, at the end of the batch).
-    pub fn send_batch(&mut self, items: &[I]) -> Result<Due, Error> {
-        if items.is_empty() {
+    /// On an error return `items` is empty too: the items not yet routed
+    /// are dropped.
+    pub fn send_batch(&mut self, items: &mut Vec<I>) -> Result<Due, Error> {
+        let n = items.len() as u64;
+        if n == 0 {
             return Ok(Due::default());
         }
-        self.pipeline.send_batch(items)?;
-        Ok(self.note_routed(items.len() as u64))
+        self.pipeline.send_owned(items)?;
+        Ok(self.note_routed(n))
     }
 
     fn note_routed(&mut self, n: u64) -> Due {
@@ -689,7 +697,7 @@ mod tests {
         let o = opts().shards(Some(1)).report_every(5).stats_every(Some(3));
         let mut s: ServeSession<u64> = ServeSession::spawn(&o).unwrap();
         // 3 items: stats boundary only.
-        let due = s.send_batch(&[1, 2, 3]).unwrap();
+        let due = s.send_batch(&mut vec![1, 2, 3]).unwrap();
         assert_eq!(
             due,
             Due {
@@ -699,13 +707,13 @@ mod tests {
             }
         );
         // 2 more (total 5): report boundary; stats not yet (next at 6).
-        let due = s.send_batch(&[4, 5]).unwrap();
+        let due = s.send_batch(&mut vec![4, 5]).unwrap();
         assert!(due.report && !due.stats);
         // One giant batch crosses both cadences multiple times: fires once.
-        let due = s.send_batch(&(0..17).collect::<Vec<u64>>()).unwrap();
+        let due = s.send_batch(&mut (0..17).collect()).unwrap();
         assert!(due.report && due.stats);
         // Countdown stays aligned: routed = 22, next report at 25.
-        assert!(!s.send_batch(&[9, 9]).unwrap().report);
+        assert!(!s.send_batch(&mut vec![9, 9]).unwrap().report);
         assert!(s.send(7).unwrap().report);
         s.finish().unwrap();
     }
@@ -718,7 +726,7 @@ mod tests {
 
         let first = opts().shards(Some(2)).snapshot_out(Some(snap.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&first).unwrap();
-        s.send_batch(&[1, 1, 2]).unwrap();
+        s.send_batch(&mut vec![1, 1, 2]).unwrap();
         let merged = s.finish().unwrap();
         assert_eq!(merged.stream_len(), 3);
 
@@ -726,7 +734,7 @@ mod tests {
         // snapshot's stream.
         let second = opts().shards(Some(2)).snapshot_in(Some(snap));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
-        s.send_batch(&[1, 3]).unwrap();
+        s.send_batch(&mut vec![1, 3]).unwrap();
         let live = s.merged().unwrap();
         assert_eq!(live.stream_len(), 5);
         assert_eq!(live.estimate(&1), 3);
@@ -767,12 +775,12 @@ mod tests {
             .checkpoint_every(4)
             .snapshot_out(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&first).unwrap();
-        let due = s.send_batch(&[1, 1, 2, 3]).unwrap();
+        let due = s.send_batch(&mut vec![1, 1, 2, 3]).unwrap();
         assert!(due.checkpoint);
         s.checkpoint().unwrap();
         let mid = crate::checkpoint::load::<u64>(&path).unwrap();
         assert_eq!(mid.unobserved, 0);
-        s.send_batch(&[4, 4]).unwrap();
+        s.send_batch(&mut vec![4, 4]).unwrap();
         let merged = s.finish().unwrap();
         assert_eq!(merged.stream_len(), 6);
         // final drain rotated the mid-stream checkpoint to .prev
@@ -782,7 +790,7 @@ mod tests {
         let second = opts().shards(Some(2)).snapshot_in(Some(path.clone()));
         let mut s: ServeSession<u64> = ServeSession::spawn(&second).unwrap();
         assert!(!s.resumed_from_fallback());
-        s.send_batch(&[1]).unwrap();
+        s.send_batch(&mut vec![1]).unwrap();
         let live = s.merged().unwrap();
         assert_eq!(live.stream_len(), 7);
         assert_eq!(live.estimate(&1), 3);

@@ -6,8 +6,10 @@
 //! Single-threaded at the socket layer (all parallelism lives in the
 //! pipeline's shard workers): the loop waits for edge-triggered
 //! readiness, drains readable sockets into per-connection line buffers,
-//! batches parsed items into [`ServeSession::send_batch`], and answers
-//! in-band `?` queries from epoch-boundary merged engines. Backpressure
+//! stages parsed items and moves each staged batch into the shards with
+//! [`ServeSession::send_batch`] (an item is allocated once, by the
+//! parser, and never cloned on the loop thread), and answers in-band `?`
+//! queries from epoch-boundary merged engines. Backpressure
 //! is the point of the shape — when any shard queue is full
 //! ([`ServeSession::saturated`]), the loop simply *stops reading* client
 //! sockets; kernel receive buffers fill, TCP flow control pushes back on
@@ -783,11 +785,7 @@ impl<I: ServeItem> Server<I> {
                     Some(item) => {
                         conn.lines += 1;
                         self.pending_lines += 1;
-                        self.staged.push(item);
-                        if self.staged.len() >= STAGE_CAP {
-                            let due = self.ship()?;
-                            self.emit_due(due, out)?;
-                        }
+                        self.stage(item, out)?;
                     }
                     None => self.handle_text(conn, token, line, out)?,
                 }
@@ -858,13 +856,12 @@ impl<I: ServeItem> Server<I> {
                     // a relaxed fetch_add per line is measurable at
                     // line-rate.
                     self.pending_lines += 1;
-                    for _ in 0..count {
-                        self.staged.push(item.clone());
-                        if self.staged.len() >= STAGE_CAP {
-                            let due = self.ship()?;
-                            self.emit_due(due, out)?;
-                        }
+                    // Clone only for the repeats; the parsed item goes
+                    // in last, so a plain line costs no clone.
+                    for _ in 1..count {
+                        self.stage(item.clone(), out)?;
                     }
+                    self.stage(item, out)?;
                 }
                 Err(_) => self.reject(conn, token, "item does not parse as the served item type"),
             },
@@ -934,14 +931,24 @@ impl<I: ServeItem> Server<I> {
         flush_conn(conn, token, &self.poller, &self.metrics);
     }
 
-    /// Ships the staged batch into the pipeline.
+    /// Stages one parsed item, shipping the batch once it reaches
+    /// [`STAGE_CAP`].
+    fn stage(&mut self, item: I, out: &mut impl io::Write) -> Result<(), Error> {
+        self.staged.push(item);
+        if self.staged.len() >= STAGE_CAP {
+            let due = self.ship()?;
+            self.emit_due(due, out)?;
+        }
+        Ok(())
+    }
+
+    /// Ships the staged batch into the pipeline by move; `staged` comes
+    /// back empty with its capacity, so staging never reallocates.
     fn ship(&mut self) -> Result<Due, Error> {
         if self.staged.is_empty() {
             return Ok(Due::default());
         }
-        let due = self.session.send_batch(&self.staged)?;
-        self.staged.clear();
-        Ok(due)
+        self.session.send_batch(&mut self.staged)
     }
 
     /// Streams cadence-due report/stats records to the server's own

@@ -902,8 +902,7 @@ impl<I: EngineItem> Backend<I> for SpaceSaving<I> {
         // replay the counters carrying their overcount bounds (sound lower
         // bounds) and widen the upper-bound slack by the donor's Δ (sound
         // upper bounds for items the donor did not store)
-        self.absorb_parts(&state.entries, state.capacity, state.absorbed_slack);
-        Ok(())
+        self.absorb_parts(&state.entries, state.capacity, state.absorbed_slack)
     }
 }
 
@@ -923,8 +922,7 @@ impl<I: EngineItem> Backend<I> for Frequent<I> {
         };
         // replay the counters and fold in the donor's decrement rounds and
         // unstored stream mass, keeping upper bounds and F1 sound
-        self.absorb_parts(&state.entries, state.decrements, state.stream_len);
-        Ok(())
+        self.absorb_parts(&state.entries, state.decrements, state.stream_len)
     }
 }
 
@@ -1401,7 +1399,10 @@ impl<I: EngineItem> Engine<I> {
     /// reports the true combined `F1`. STICKY SAMPLING merges by O(m)
     /// table union; sketch backends add cell-wise and re-rank the
     /// candidate union. Fails with [`Error::SnapshotMismatch`] when
-    /// algorithms (or sketch shapes) differ.
+    /// algorithms (or sketch shapes) differ, and with
+    /// [`Error::CorruptSnapshot`] — leaving the engine unchanged — when a
+    /// SPACESAVING or FREQUENT donor's counts would overflow the merged
+    /// summary (or a SPACESAVING counter claims `err > count`).
     pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
         self.backend.absorb(snap)
     }
@@ -2317,12 +2318,10 @@ mod tests {
         assert!(Engine::from_snapshot(snap).is_err());
     }
 
-    /// Snapshot JSON whose counts sum past `u64::MAX` is a typed error in
-    /// every build profile, never a wrapped sum or an overflow panic.
-    #[test]
-    fn overflowing_snapshot_counts_are_rejected() {
+    /// Crafted snapshots whose counts sum past `u64::MAX`.
+    fn overflowing_snapshots() -> [Snapshot<u64>; 5] {
         let half = u64::MAX / 2 + 1;
-        let snaps = [
+        [
             // SPACESAVING counter mass wraps around to the stream length
             Snapshot::SpaceSaving(SpaceSavingState {
                 capacity: 4,
@@ -2358,8 +2357,14 @@ mod tests {
                 decrements: half,
                 entries: vec![(1u64, 1), (2, 1)],
             }),
-        ];
-        for snap in snaps {
+        ]
+    }
+
+    /// Snapshot JSON whose counts sum past `u64::MAX` is a typed error in
+    /// every build profile, never a wrapped sum or an overflow panic.
+    #[test]
+    fn overflowing_snapshot_counts_are_rejected() {
+        for snap in overflowing_snapshots() {
             let json = serde_json::to_string(&snap).unwrap();
             assert!(
                 matches!(
@@ -2368,6 +2373,61 @@ mod tests {
                 ),
                 "{json}"
             );
+        }
+    }
+
+    /// The merge path checks the same sums: merging a donor whose counts
+    /// would overflow the receiver is a typed error in every build
+    /// profile, and the receiver is left as it was. The donors are the
+    /// crafted snapshots above, the (individually valid) receivers
+    /// themselves, and a SPACESAVING counter with `err > count`.
+    #[test]
+    fn overflowing_merges_are_rejected() {
+        let half = u64::MAX / 2 + 1;
+        let space_saving = Snapshot::SpaceSaving(SpaceSavingState {
+            capacity: 4,
+            stream_len: half,
+            absorbed_slack: 0,
+            entries: vec![(9u64, half, 0)],
+        });
+        let frequent = Snapshot::Frequent(FrequentState {
+            capacity: 4,
+            stream_len: 1,
+            decrements: half,
+            entries: vec![(9u64, 1)],
+        });
+        let err_above_count = Snapshot::SpaceSaving(SpaceSavingState {
+            capacity: 4,
+            stream_len: 2,
+            absorbed_slack: 0,
+            entries: vec![(1u64, 2, 3)],
+        });
+        let mut donors = overflowing_snapshots().to_vec();
+        donors.extend([space_saving.clone(), frequent.clone(), err_above_count]);
+        for donor in &donors {
+            let receiver = match donor {
+                Snapshot::SpaceSaving(_) => &space_saving,
+                _ => &frequent,
+            };
+            let mut engine = Engine::from_snapshot(receiver.clone()).unwrap();
+            assert!(
+                matches!(engine.merge_snapshot(donor), Err(Error::CorruptSnapshot(_))),
+                "{donor:?}"
+            );
+            assert_eq!(
+                &engine.snapshot(),
+                receiver,
+                "a rejected merge changes nothing"
+            );
+        }
+        // the engine-to-engine merge takes the same path
+        for receiver in [space_saving, frequent] {
+            let mut engine = Engine::from_snapshot(receiver.clone()).unwrap();
+            let twin = Engine::from_snapshot(receiver).unwrap();
+            assert!(matches!(
+                engine.merge(&twin),
+                Err(Error::CorruptSnapshot(_))
+            ));
         }
     }
 

@@ -791,54 +791,57 @@ impl<I: EngineItem> Pipeline<I> {
     /// supervision (the default); otherwise — or if the respawn fails —
     /// the call reports [`Error::ShardDown`].
     pub fn send(&mut self, item: I) -> Result<(), Error> {
-        self.routed += 1;
-        match self.config.routing {
-            Routing::HashPartition => {
-                let shard = hash_shard(self.senders.len(), &item);
-                self.buffers[shard].push(item);
-                if self.buffers[shard].len() >= self.config.batch {
-                    self.ship(shard)?;
-                }
-            }
-            Routing::RoundRobin => {
-                self.buffers[0].push(item);
-                if self.buffers[0].len() >= self.config.batch {
-                    self.ship_round_robin()?;
-                }
-            }
-        }
-        Ok(())
+        self.route(std::iter::once(item))
     }
 
-    /// Routes a slice of arrivals in order (equivalent to
-    /// [`Pipeline::send`] per element, specialized per routing policy —
-    /// this is the service's ingest hot path).
+    /// Routes a slice of arrivals in order, cloning each (equivalent to
+    /// [`Pipeline::send`] per element). A producer that owns its batch
+    /// should prefer [`Pipeline::send_owned`], which moves the items.
     pub fn send_batch(&mut self, items: &[I]) -> Result<(), Error> {
-        match self.config.routing {
-            Routing::HashPartition => {
-                let shards = self.senders.len();
-                for item in items {
-                    let shard = hash_shard(shards, item);
-                    self.buffers[shard].push(item.clone());
-                    self.routed += 1;
-                    if self.buffers[shard].len() >= self.config.batch {
-                        self.ship(shard)?;
-                    }
-                }
-            }
-            Routing::RoundRobin => {
-                // whole sub-slices straight into the staging buffer
-                let mut rest = items;
-                while !rest.is_empty() {
-                    let room = self.config.batch - self.buffers[0].len();
-                    let take = room.min(rest.len());
-                    self.buffers[0].extend_from_slice(&rest[..take]);
-                    self.routed += take as u64;
-                    rest = &rest[take..];
-                    if self.buffers[0].len() >= self.config.batch {
-                        self.ship_round_robin()?;
-                    }
-                }
+        self.route(items.iter().cloned())
+    }
+
+    /// Routes every item of `items` in order *by move* — no per-item
+    /// clone on the calling thread — and leaves `items` empty with its
+    /// capacity intact, ready to be refilled. This is the service's
+    /// ingest hot path.
+    ///
+    /// On an error return `items` is still left empty: the items routed
+    /// before the failure are counted by [`Pipeline::routed`], the rest
+    /// are dropped.
+    ///
+    /// ```
+    /// # use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// # use hh_sketches::pipeline::PipelineConfig;
+    /// let mut p = PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(8))
+    ///     .shards(2)
+    ///     .spawn::<String>()
+    ///     .unwrap();
+    /// let mut staged: Vec<String> = Vec::with_capacity(64);
+    /// staged.extend(["a", "b", "a"].map(String::from));
+    /// p.send_owned(&mut staged).unwrap();
+    /// assert!(staged.is_empty() && staged.capacity() >= 64);
+    /// assert_eq!(p.finish().unwrap().estimate(&"a".to_string()), 2);
+    /// ```
+    pub fn send_owned(&mut self, items: &mut Vec<I>) -> Result<(), Error> {
+        self.route(items.drain(..))
+    }
+
+    /// The one routing loop, shared by every entry point: moves each
+    /// arrival into its buffer (the item's hash shard under
+    /// `HashPartition`, the single staging buffer under `RoundRobin`)
+    /// and ships the buffer the moment it fills.
+    fn route(&mut self, items: impl Iterator<Item = I>) -> Result<(), Error> {
+        let shards = self.senders.len();
+        for item in items {
+            let buffer = match self.config.routing {
+                Routing::HashPartition => hash_shard(shards, &item),
+                Routing::RoundRobin => 0,
+            };
+            self.buffers[buffer].push(item);
+            self.routed += 1;
+            if self.buffers[buffer].len() >= self.config.batch {
+                self.ship(buffer)?;
             }
         }
         Ok(())
@@ -847,35 +850,29 @@ impl<I: EngineItem> Pipeline<I> {
     /// Ships every buffered item to its shard, leaving the buffers empty.
     /// Called implicitly by the query methods and by [`Pipeline::finish`].
     pub fn flush(&mut self) -> Result<(), Error> {
-        match self.config.routing {
-            Routing::HashPartition => {
-                for shard in 0..self.buffers.len() {
-                    if !self.buffers[shard].is_empty() {
-                        self.ship(shard)?;
-                    }
-                }
-            }
-            Routing::RoundRobin => {
-                if !self.buffers[0].is_empty() {
-                    self.ship_round_robin()?;
-                }
+        for buffer in 0..self.buffers.len() {
+            if !self.buffers[buffer].is_empty() {
+                self.ship(buffer)?;
             }
         }
         Ok(())
     }
 
-    fn ship(&mut self, shard: usize) -> Result<(), Error> {
+    /// Ships one pending buffer: to the shard it collects for
+    /// (`HashPartition`), or to the next shard in rotation (`RoundRobin`).
+    fn ship(&mut self, buffer: usize) -> Result<(), Error> {
+        let shard = match self.config.routing {
+            Routing::HashPartition => buffer,
+            Routing::RoundRobin => {
+                let next = self.rr_cursor;
+                self.rr_cursor = (next + 1) % self.senders.len();
+                next
+            }
+        };
         let batch = std::mem::replace(
-            &mut self.buffers[shard],
+            &mut self.buffers[buffer],
             Vec::with_capacity(self.config.batch),
         );
-        self.ship_to(shard, batch)
-    }
-
-    fn ship_round_robin(&mut self) -> Result<(), Error> {
-        let shard = self.rr_cursor;
-        self.rr_cursor = (self.rr_cursor + 1) % self.senders.len();
-        let batch = std::mem::replace(&mut self.buffers[0], Vec::with_capacity(self.config.batch));
         self.ship_to(shard, batch)
     }
 

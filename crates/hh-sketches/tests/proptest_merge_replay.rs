@@ -334,7 +334,7 @@ proptest! {
             NaiveSpaceSaving::from_parts(m, naive[0].stream_len, naive[0].slack, &naive[0].s.desc());
         prop_assert_eq!(merged.entries_with_err(), oracle.s.desc(), "rehydrated");
         for (r, n) in real.iter().zip(&naive).skip(1) {
-            merged.absorb_parts(&r.entries_with_err(), r.capacity(), r.absorbed_slack());
+            merged.absorb_parts(&r.entries_with_err(), r.capacity(), r.absorbed_slack()).unwrap();
             oracle.absorb_parts(&n.s.desc(), n.m, n.slack);
         }
         merged.check_invariants();
@@ -379,7 +379,7 @@ proptest! {
         );
         prop_assert_eq!(merged.entries(), oracle.entries(), "rehydrated");
         for (r, n) in real.iter().zip(&naive).skip(1) {
-            merged.absorb_parts(&r.entries(), r.decrements(), r.stream_len());
+            merged.absorb_parts(&r.entries(), r.decrements(), r.stream_len()).unwrap();
             oracle.absorb_parts(&n.entries(), n.offset + n.absorbed, n.stream_len);
         }
         merged.check_invariants();
@@ -453,7 +453,9 @@ fn merge_into_a_table_that_is_not_full_is_exact() {
         SpaceSaving::from_parts(64, real[0].stream_len(), 0, real[0].entries_with_err()).unwrap();
     let mut oracle = NaiveSpaceSaving::from_parts(64, naive[0].stream_len, 0, &naive[0].s.desc());
     for (r, n) in real.iter().zip(&naive).skip(1) {
-        merged.absorb_parts(&r.entries_with_err(), r.capacity(), 0);
+        merged
+            .absorb_parts(&r.entries_with_err(), r.capacity(), 0)
+            .unwrap();
         oracle.absorb_parts(&n.s.desc(), n.m, 0);
     }
     assert_eq!(merged.entries_with_err(), oracle.s.desc());

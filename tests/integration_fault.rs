@@ -122,6 +122,49 @@ proptest! {
         }
     }
 
+    /// The server's ingest path — owned `String` batches moved through
+    /// `ServeSession::send_batch` — under a seeded shard kill: the batch
+    /// whose ship trips over the dead worker is re-shipped intact to the
+    /// respawned shard, so every merged interval still brackets the
+    /// exact count and the only mass missing is the one charged as
+    /// unobserved.
+    #[test]
+    fn killed_shard_keeps_owned_string_ingest_sound(seed in 0u64..500, kill_batch in 1u64..30) {
+        let stream = skewed_stream(seed);
+        let _chaos = Chaos::arm(FaultPlan::new(seed).panic_on(sites::SHARD_BATCH, kill_batch));
+
+        let serve = ServeOptions::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(M))
+            .shards(Some(3))
+            .batch_size(64)
+            .queue_depth(2);
+        let mut session: ServeSession<String> = ServeSession::spawn(&serve).unwrap();
+        let mut staged: Vec<String> = Vec::with_capacity(1500);
+        for chunk in stream.chunks(1500) {
+            staged.extend(chunk.iter().map(|i| format!("/item/{i}")));
+            session.send_batch(&mut staged).expect("supervised ingest survives the kill");
+            prop_assert!(staged.is_empty());
+            session.merged().expect("epoch query survives the kill");
+        }
+
+        let stats = session.stats();
+        prop_assert_eq!(stats.restarts, 1, "exactly one injected kill");
+        prop_assert_eq!(stats.routed, stream.len() as u64);
+        let merged = session.finish().expect("drain succeeds after recovery");
+        prop_assert_eq!(merged.unobserved(), stats.lost_items);
+        prop_assert_eq!(merged.stream_len(), stream.len() as u64);
+
+        let oracle = ExactCounter::from_stream(&stream);
+        for entry in merged.report().top_k(M) {
+            let id: u64 = entry.item["/item/".len()..].parse().unwrap();
+            let truth = oracle.count(&id);
+            prop_assert!(
+                entry.lower <= truth && truth <= entry.upper,
+                "item {}: certified [{}, {}] misses true count {} (lost {})",
+                entry.item, entry.lower, entry.upper, truth, stats.lost_items
+            );
+        }
+    }
+
     /// Torn checkpoint writes at seeded truncation points never produce
     /// a loadable-but-wrong checkpoint: load either rejects the file
     /// (typed corruption error) or falls back to the intact previous
@@ -214,9 +257,9 @@ fn serve_session_resumes_from_previous_generation_after_torn_checkpoint() {
             .checkpoint_every(4)
             .snapshot_out(Some(path.clone()));
         let mut session: ServeSession<u64> = ServeSession::spawn(&serve).unwrap();
-        session.send_batch(&[1, 1, 2, 3]).unwrap();
+        session.send_batch(&mut vec![1, 1, 2, 3]).unwrap();
         session.checkpoint().unwrap(); // generation 1: clean, covers 4 items
-        session.send_batch(&[4, 4, 4, 4]).unwrap();
+        session.send_batch(&mut vec![4, 4, 4, 4]).unwrap();
         session.checkpoint().unwrap(); // generation 2: torn on disk
                                        // Crash: no finish(), the torn file stays current.
     }
