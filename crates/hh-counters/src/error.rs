@@ -48,7 +48,7 @@ pub enum Error {
     /// supervision rebuilt the shard from its last epoch snapshot before
     /// this error was raised (`true`: the shard is live again but the
     /// attempted operation still failed; `false`: the shard is gone —
-    /// supervision is off or the rebuild itself failed).
+    /// the rebuild itself failed).
     ShardDown {
         /// Index of the dead shard.
         shard: usize,

@@ -1080,8 +1080,7 @@ pub struct IngestStats {
 ///
 /// `Engine` itself implements [`FrequencyEstimator`], so everything in the
 /// workspace that is generic over estimators — `check_tail`, `k_sparse`,
-/// `merge_k_sparse`, `parallel_summarize`, `TopKMonitor` — drives engines
-/// unchanged.
+/// `merge_k_sparse`, `TopKMonitor` — drives engines unchanged.
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, EngineConfig};

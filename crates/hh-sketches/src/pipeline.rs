@@ -23,10 +23,10 @@
 //!   [`ShardIngest::Aggregate`] pre-aggregates every delivered batch to
 //!   one `update_by` per distinct item (a large constant-factor win on
 //!   hot-set traffic), while [`ShardIngest::Preserve`] keeps per-shard
-//!   arrival order bit-exact — a pipeline in `Preserve` mode is the
-//!   streaming twin of [`parallel_summarize`]: collecting its shard
+//!   arrival order bit-exact — in `Preserve` mode, collecting the shard
 //!   states and k-sparse-merging them ([`Pipeline::merged_k_sparse`])
-//!   equals `parallel_summarize` on the same partition, bit for bit.
+//!   equals summarizing each shard's sub-stream sequentially and
+//!   applying [`merge_k_sparse`] to the results, bit for bit.
 //!
 //! Backpressure is part of the contract: channels hold at most
 //! `queue_depth` batches per shard, so a producer that outruns the
@@ -35,16 +35,15 @@
 //! **Supervision.** Shard workers run under `catch_unwind`, and the
 //! coordinator notices a dead shard at its next interaction with it (a
 //! ship or an epoch marker — detection is lazy, there is no watchdog
-//! thread). With [`PipelineConfig::supervised`] on (the default) the
-//! shard is respawned from its last epoch-boundary [`Snapshot`] and the
-//! mass shipped since that snapshot is charged to the pipeline's *lost*
-//! account: merged views widen `stream_len`, upper estimates and error
-//! terms by the lost mass (see [`Engine::add_unobserved`]), so certified
-//! intervals and the `(3A, A+B)` guarantee stay sound — the true count
-//! of any item still lies inside its reported interval, because at most
-//! `lost` occurrences went unobserved. With supervision off, the first
-//! operation that trips over a dead shard reports the typed
-//! [`Error::ShardDown`] and the pipeline stays usable for draining.
+//! thread). The shard is respawned from its last epoch-boundary
+//! [`Snapshot`] and the mass shipped since that snapshot is charged to
+//! the pipeline's *lost* account: merged views widen `stream_len`, upper
+//! estimates and error terms by the lost mass (see
+//! [`Engine::add_unobserved`]), so certified intervals and the
+//! `(3A, A+B)` guarantee stay sound — the true count of any item still
+//! lies inside its reported interval, because at most `lost`
+//! occurrences went unobserved. A shard that cannot be restored, or
+//! that dies again at once, surfaces as the typed [`Error::ShardDown`].
 //!
 //! ```
 //! use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -65,8 +64,6 @@
 //! assert_eq!(merged.stream_len(), 1003);
 //! assert_eq!(merged.report().top_k(1)[0].item, 3);
 //! ```
-//!
-//! [`parallel_summarize`]: hh_counters::parallel::parallel_summarize
 
 use std::hash::{BuildHasher, Hash};
 use std::panic::AssertUnwindSafe;
@@ -108,9 +105,8 @@ pub enum Routing {
 pub enum ShardIngest {
     /// `update_batch` in delivery order — per-shard state is bit-identical
     /// to a sequential summary of the shard's sub-stream, which is what
-    /// makes a `Preserve` pipeline exactly reproducible by
-    /// [`hh_counters::parallel::parallel_summarize`] on the same
-    /// partition. The default.
+    /// makes a `Preserve` pipeline's [`Pipeline::merged_k_sparse`]
+    /// exactly reproducible from those sequential summaries. The default.
     #[default]
     Preserve,
     /// Pre-aggregate each batch to one `update_by` per distinct item
@@ -148,14 +144,13 @@ pub struct PipelineConfig {
     ingest: ShardIngest,
     batch: usize,
     queue: usize,
-    supervised: bool,
 }
 
 impl PipelineConfig {
     /// Starts a pipeline config: engines per `engine`, one shard per unit
     /// of available parallelism, hash-partitioned routing,
     /// order-preserving ingest, 8192-item batches, 4 queued batches per
-    /// shard, supervision on.
+    /// shard.
     ///
     /// # Invariants
     ///
@@ -166,12 +161,11 @@ impl PipelineConfig {
     pub fn new(engine: EngineConfig) -> Self {
         PipelineConfig {
             engine,
-            shards: hh_counters::pool::max_workers(),
+            shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
             routing: Routing::default(),
             ingest: ShardIngest::default(),
             batch: 8192,
             queue: 4,
-            supervised: true,
         }
     }
 
@@ -204,17 +198,6 @@ impl PipelineConfig {
     /// a full queue blocks the producer (backpressure).
     pub fn queue_depth(mut self, queue: usize) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// Turns shard supervision on or off (on by default). Supervised
-    /// pipelines respawn a panicked shard worker from its last
-    /// epoch-boundary snapshot and account the lost mass into every
-    /// merged view's certified intervals (see the [module docs](self));
-    /// unsupervised pipelines surface a dead shard as the typed
-    /// [`Error::ShardDown`] with `recovered: false`.
-    pub fn supervised(mut self, supervised: bool) -> Self {
-        self.supervised = supervised;
         self
     }
 
@@ -398,7 +381,6 @@ impl PipelineMetrics {
             "hh_pipeline_lost_items_total",
             "occurrences charged to dead shards (widens merged intervals)",
         );
-        hh_counters::pool::register_metrics(&registry);
         PipelineMetrics {
             registry,
             shards: shard_metrics,
@@ -689,7 +671,7 @@ impl<I: EngineItem> Pipeline<I> {
 
     /// Occurrences charged to dead shards so far — the mass every merged
     /// view is widened by ([`Engine::add_unobserved`]). `0` unless a
-    /// supervised shard worker died and was respawned.
+    /// shard worker died and was respawned.
     pub fn lost_items(&self) -> u64 {
         self.lost
     }
@@ -753,8 +735,8 @@ impl<I: EngineItem> Pipeline<I> {
     }
 
     /// The pipeline's metric [`Registry`] — every counter, gauge and
-    /// histogram behind [`Pipeline::stats`] plus the process-wide pool
-    /// counters, renderable as Prometheus text or JSON.
+    /// histogram behind [`Pipeline::stats`], renderable as Prometheus
+    /// text or JSON.
     ///
     /// ```
     /// # use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -787,9 +769,8 @@ impl<I: EngineItem> Pipeline<I> {
     }
 
     /// Routes one arrival. Blocks when the destination shard's queue is
-    /// full (backpressure). A dead shard worker is respawned under
-    /// supervision (the default); otherwise — or if the respawn fails —
-    /// the call reports [`Error::ShardDown`].
+    /// full (backpressure). A dead shard worker is respawned; if the
+    /// respawn fails the call reports [`Error::ShardDown`].
     pub fn send(&mut self, item: I) -> Result<(), Error> {
         self.route(std::iter::once(item))
     }
@@ -879,10 +860,10 @@ impl<I: EngineItem> Pipeline<I> {
     /// The single shipping point: all telemetry is per *batch* here (a
     /// counter add, a gauge bump, one timed send), so the per-item send
     /// paths above stay exactly as lean as before instrumentation. A
-    /// failed send means the shard worker died: under supervision the
-    /// shard is respawned from its last epoch snapshot and the batch —
-    /// recovered intact from the send error — is re-shipped to the
-    /// rebuilt worker, so *this* batch is never part of the lost mass.
+    /// failed send means the shard worker died: the shard is respawned
+    /// from its last epoch snapshot and the batch — recovered intact from
+    /// the send error — is re-shipped to the rebuilt worker, so *this*
+    /// batch is never part of the lost mass.
     fn ship_to(&mut self, shard: usize, batch: Vec<I>) -> Result<(), Error> {
         let len = batch.len() as u64;
         let metrics = &self.metrics.shards[shard];
@@ -925,31 +906,10 @@ impl<I: EngineItem> Pipeline<I> {
         }
     }
 
-    /// Supervised recovery: reap the dead worker, charge everything
-    /// shipped since its last epoch snapshot to the lost account, and
-    /// respawn the shard from that snapshot (or from a fresh engine if
-    /// no epoch has completed yet).
+    /// Recovery: respawn the shard from its restore point (see
+    /// [`Pipeline::restore`]) and reap the dead worker.
     fn respawn(&mut self, shard: usize) -> Result<(), Error> {
-        if !self.config.supervised {
-            return Err(Error::ShardDown {
-                shard,
-                recovered: false,
-            });
-        }
-        let engine = match self.last_snapshots[shard].clone() {
-            Some(snap) => Engine::from_snapshot(snap).map_err(|_| Error::ShardDown {
-                shard,
-                recovered: false,
-            })?,
-            None => self
-                .config
-                .engine
-                .build::<I>()
-                .map_err(|_| Error::ShardDown {
-                    shard,
-                    recovered: false,
-                })?,
-        };
+        let engine = self.restore(shard)?;
         let (tx, handle) = spawn_worker(
             engine,
             self.config.queue,
@@ -964,28 +924,42 @@ impl<I: EngineItem> Pipeline<I> {
         let dead = self.workers.swap_remove(shard);
         // The worker already exited (that is why we are here); reap its
         // panic payload so the thread is not leaked.
-        // lint:allow(error-swallow) the Err payload is the panic we are recovering from; supervision already recorded the restart
+        // lint:allow(error-swallow) the Err payload is the panic we are recovering from; restore already recorded the restart
         let _ = dead.join();
-        // Batches queued at the crash died with the channel; everything
-        // shipped since the restore point is gone either way.
-        let lost = self.shipped_since[shard];
-        self.shipped_since[shard] = 0;
+        Ok(())
+    }
+
+    /// Rebuilds a dead shard's engine from its last epoch snapshot (or a
+    /// fresh engine if no epoch has completed yet), charges everything
+    /// shipped since that restore point to the lost account, and records
+    /// the restart. Batches queued at the crash died with the channel;
+    /// everything shipped since the restore point is gone either way.
+    fn restore(&mut self, shard: usize) -> Result<Engine<I>, Error> {
+        let rebuilt = match self.last_snapshots[shard].clone() {
+            Some(snap) => Engine::from_snapshot(snap),
+            None => self.config.engine.build::<I>(),
+        };
+        let engine = rebuilt.map_err(|_| Error::ShardDown {
+            shard,
+            recovered: false,
+        })?;
+        let lost = std::mem::take(&mut self.shipped_since[shard]);
         self.lost = self.lost.saturating_add(lost);
         let metrics = &self.metrics.shards[shard];
         metrics.queue_depth.set(0);
         metrics.restarts.inc();
         self.metrics.lost_items.add(lost);
-        Ok(())
+        Ok(engine)
     }
 
     /// Collects one snapshot per shard at an epoch boundary: every item
     /// routed before this call is reflected, no item sent after is. The
     /// pipeline keeps ingesting afterwards; the epoch counter increments.
     ///
-    /// Under supervision a shard found dead here is respawned and its
-    /// restored engine answers the epoch (sound: the lost mass is in the
-    /// pipeline's lost account, which merged views widen by). On success
-    /// the collected snapshots become the shards' new restore points.
+    /// A shard found dead here is respawned and its restored engine
+    /// answers the epoch (sound: the lost mass is in the pipeline's lost
+    /// account, which merged views widen by). On success the collected
+    /// snapshots become the shards' new restore points.
     pub fn snapshots(&mut self) -> Result<Vec<Snapshot<I>>, Error> {
         let start = Instant::now();
         self.flush()?;
@@ -1015,11 +989,9 @@ impl<I: EngineItem> Pipeline<I> {
             }
         }
         // The epoch is the new restore point for every shard.
-        if self.config.supervised {
-            for (shard, snap) in snaps.iter().enumerate() {
-                self.last_snapshots[shard] = Some(snap.clone());
-                self.shipped_since[shard] = 0;
-            }
+        for (shard, snap) in snaps.iter().enumerate() {
+            self.last_snapshots[shard] = Some(snap.clone());
+            self.shipped_since[shard] = 0;
         }
         self.epoch += 1;
         self.metrics.snapshot_ns.record_duration(start.elapsed());
@@ -1069,12 +1041,11 @@ impl<I: EngineItem> Pipeline<I> {
     }
 
     /// The Theorem 11 *k-sparse* merge of an epoch-boundary view: each
-    /// shard contributes only its k-sparse recovery, exactly the
-    /// construction of
-    /// [`hh_counters::parallel::parallel_summarize`]. With
-    /// [`ShardIngest::Preserve`], the result is bit-identical to
-    /// `parallel_summarize(partition, k, …)` on the partition this
-    /// pipeline's routing produced.
+    /// shard contributes only its k-sparse recovery to a [`merge_k_sparse`]
+    /// replay. With [`ShardIngest::Preserve`], the result is bit-identical
+    /// to summarizing each sub-stream of the partition this pipeline's
+    /// routing produced on its own, then calling `merge_k_sparse(…, k, …)`
+    /// on those summaries.
     pub fn merged_k_sparse(&mut self, k: usize) -> Result<Engine<I>, Error> {
         let snaps = self.snapshots()?;
         let start = Instant::now();
@@ -1115,64 +1086,33 @@ impl<I: EngineItem> Pipeline<I> {
 
     /// Drains every buffer, stops the workers, and returns the per-shard
     /// engines in shard order. A shard found dead at the drain is
-    /// replaced by its last restore point under supervision (the caller
-    /// can read the charged loss off [`Pipeline::stats`] beforehand —
-    /// after this the pipeline is consumed).
+    /// replaced by its last restore point (the caller can read the
+    /// charged loss off [`Pipeline::stats`] beforehand — after this the
+    /// pipeline is consumed).
     pub fn finish_shards(mut self) -> Result<Vec<Engine<I>>, Error> {
         self.drain_shards().map(|(engines, _)| engines)
     }
 
     /// The common drain: disconnect every channel, join every worker,
-    /// and turn panicked workers into restored engines (supervised) or a
-    /// typed [`Error::ShardDown`] (unsupervised). Returns the engines
-    /// plus the pipeline's total lost mass.
+    /// and turn panicked workers into their restored engines. Returns the
+    /// engines plus the pipeline's total lost mass.
     fn drain_shards(&mut self) -> Result<(Vec<Engine<I>>, u64), Error> {
         self.flush()?;
         // Dropping the senders disconnects the channels; workers drain
         // what is queued and return their engines.
         self.senders.clear();
         let mut engines = Vec::with_capacity(self.workers.len());
-        for (shard, handle) in self.workers.drain(..).enumerate() {
+        for (shard, handle) in std::mem::take(&mut self.workers).into_iter().enumerate() {
             let outcome = handle
                 .join()
                 .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-            match outcome {
-                Ok(engine) => engines.push(engine),
-                Err(_panic) => {
-                    if !self.config.supervised {
-                        return Err(Error::ShardDown {
-                            shard,
-                            recovered: false,
-                        });
-                    }
-                    // The worker died somewhere before the drain: fall
-                    // back to its restore point and charge the rest.
-                    let engine = match self.last_snapshots[shard].take() {
-                        Some(snap) => {
-                            Engine::from_snapshot(snap).map_err(|_| Error::ShardDown {
-                                shard,
-                                recovered: false,
-                            })?
-                        }
-                        None => self
-                            .config
-                            .engine
-                            .build::<I>()
-                            .map_err(|_| Error::ShardDown {
-                                shard,
-                                recovered: false,
-                            })?,
-                    };
-                    let lost = self.shipped_since[shard];
-                    self.shipped_since[shard] = 0;
-                    self.lost = self.lost.saturating_add(lost);
-                    let metrics = &self.metrics.shards[shard];
-                    metrics.queue_depth.set(0);
-                    metrics.restarts.inc();
-                    self.metrics.lost_items.add(lost);
-                    engines.push(engine);
-                }
-            }
+            // A worker that died before the drain falls back to its
+            // restore point, and the rest is charged as lost.
+            let engine = match outcome {
+                Ok(engine) => engine,
+                Err(_panic) => self.restore(shard)?,
+            };
+            engines.push(engine);
         }
         Ok((engines, self.lost))
     }
@@ -1316,33 +1256,82 @@ mod tests {
     }
 
     #[test]
-    fn preserve_mode_matches_parallel_summarize_bit_for_bit() {
-        use hh_counters::parallel::parallel_summarize;
+    fn merged_k_sparse_of_empty_shards_is_empty() {
+        let mut p = ss_config(8).shards(2).spawn::<u64>().unwrap();
+        let merged = p.merged_k_sparse(2).unwrap();
+        assert_eq!(merged.stored_len(), 0);
+        assert_eq!(merged.stream_len(), 0);
+        p.finish().unwrap();
+    }
+
+    #[test]
+    fn many_shards_preserve_global_heavy_item() {
+        // item 999 is heavy in every shard's slice; one batch per shard
+        let stream: Vec<u64> = (0..8u64)
+            .flat_map(|j| {
+                std::iter::repeat_n(999, 300).chain((0..200).map(move |i| j * 1000 + i % 40))
+            })
+            .collect();
+        let mut p = ss_config(32)
+            .shards(8)
+            .routing(Routing::RoundRobin)
+            .batch_size(500)
+            .spawn::<u64>()
+            .unwrap();
+        p.send_batch(&stream).unwrap();
+        let merged = p.merged_k_sparse(4).unwrap();
+        assert_eq!(merged.entries()[0].0, 999);
+        assert!(merged.estimate(&999) >= 2000);
+        p.finish().unwrap();
+    }
+
+    #[test]
+    fn preserve_mode_matches_sequential_merge_bit_for_bit() {
         use hh_counters::SpaceSaving;
 
         let s = stream(30_000, 499);
-        let (shards, m, k) = (4usize, 48usize, 6usize);
-        let mut p = ss_config(m)
-            .shards(shards)
-            .batch_size(777)
-            .spawn::<u64>()
-            .unwrap();
-        p.send_batch(&s).unwrap();
-        let via_pipeline = p.merged_k_sparse(k).unwrap();
+        let (shards, m, k, batch) = (4usize, 48usize, 6usize, 777usize);
+        for routing in [Routing::HashPartition, Routing::RoundRobin] {
+            let mut p = ss_config(m)
+                .shards(shards)
+                .routing(routing)
+                .batch_size(batch)
+                .spawn::<u64>()
+                .unwrap();
+            p.send_batch(&s).unwrap();
+            let via_pipeline = p.merged_k_sparse(k).unwrap();
 
-        // reconstruct the partition from the public routing contract
-        let mut partition = vec![Vec::new(); shards];
-        for &x in &s {
-            partition[hash_shard(shards, &x)].push(x);
+            // reconstruct the partition from the public routing contract,
+            // then summarize each part sequentially and k-sparse-merge
+            let mut partition = vec![Vec::new(); shards];
+            match routing {
+                Routing::HashPartition => {
+                    for &x in &s {
+                        partition[hash_shard(shards, &x)].push(x);
+                    }
+                }
+                Routing::RoundRobin => {
+                    for (i, chunk) in s.chunks(batch).enumerate() {
+                        partition[i % shards].extend_from_slice(chunk);
+                    }
+                }
+            }
+            let summaries: Vec<SpaceSaving<u64>> = partition
+                .iter()
+                .map(|part| {
+                    let mut summary = SpaceSaving::new(m);
+                    summary.update_batch(part);
+                    summary
+                })
+                .collect();
+            let sequential = merge_k_sparse(&summaries, k, || SpaceSaving::<u64>::new(m));
+            assert_eq!(via_pipeline.entries(), sequential.entries(), "{routing:?}");
+            assert_eq!(
+                via_pipeline.stream_len(),
+                sequential.stream_len(),
+                "{routing:?}"
+            );
         }
-        let via_parallel = parallel_summarize(
-            &partition,
-            k,
-            || SpaceSaving::<u64>::new(m),
-            || SpaceSaving::<u64>::new(m),
-        );
-        assert_eq!(via_pipeline.entries(), via_parallel.entries());
-        assert_eq!(via_pipeline.stream_len(), via_parallel.stream_len());
     }
 
     #[test]
@@ -1475,7 +1464,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_exposes_pipeline_and_pool_metrics() {
+    fn registry_exposes_pipeline_metrics() {
         let mut p = ss_config(8)
             .shards(2)
             .batch_size(16)
@@ -1492,7 +1481,6 @@ mod tests {
             "hh_pipeline_epochs_total",
             "hh_pipeline_shard_restarts_total",
             "hh_pipeline_lost_items_total",
-            "hh_pool_tasks_total",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
@@ -1510,8 +1498,8 @@ mod tests {
 
     #[test]
     fn healthy_pipelines_report_no_restarts_or_loss() {
-        // Supervision is on by default and must be invisible while no
-        // shard dies: zero restarts, zero lost mass, exact stream_len.
+        // Supervision must be invisible while no shard dies: zero
+        // restarts, zero lost mass, exact stream_len.
         let mut p = ss_config(32)
             .shards(2)
             .batch_size(64)
@@ -1529,17 +1517,5 @@ mod tests {
         let merged = p.finish().unwrap();
         assert_eq!(merged.stream_len(), 3_000);
         assert_eq!(merged.unobserved(), 0);
-    }
-
-    #[test]
-    fn supervised_builder_knob_round_trips() {
-        let on = ss_config(8);
-        assert!(on.supervised);
-        let off = ss_config(8).supervised(false);
-        assert!(!off.supervised);
-        // an unsupervised pipeline still runs fine while healthy
-        let mut p = off.shards(2).spawn::<u64>().unwrap();
-        p.send_batch(&[1, 2, 3, 4]).unwrap();
-        assert_eq!(p.finish().unwrap().stream_len(), 4);
     }
 }

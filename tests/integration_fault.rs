@@ -201,43 +201,6 @@ proptest! {
     }
 }
 
-/// Without supervision, a dead shard is a typed, attributable error —
-/// not a hang and not a silent undercount.
-#[test]
-fn unsupervised_shard_death_is_a_typed_error() {
-    let _chaos = Chaos::arm(FaultPlan::new(7).panic_on(sites::SHARD_BATCH, 1));
-    let mut pipeline: Pipeline<u64> =
-        PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(16))
-            .shards(1)
-            .batch_size(4)
-            .queue_depth(1)
-            .supervised(false)
-            .spawn()
-            .expect("valid pipeline config");
-    // The first batch kills the worker; a later ship or the drain must
-    // surface ShardDown{recovered: false}.
-    let mut saw = None;
-    for i in 0..200u64 {
-        if let Err(e) = pipeline.send(i) {
-            saw = Some(e);
-            break;
-        }
-    }
-    let err = match saw {
-        Some(e) => e,
-        None => pipeline
-            .finish()
-            .expect_err("dead shard cannot drain cleanly"),
-    };
-    match err {
-        hh::Error::ShardDown {
-            shard: 0,
-            recovered: false,
-        } => {}
-        other => panic!("expected ShardDown{{recovered: false}}, got {other:?}"),
-    }
-}
-
 /// The full durable-checkpoint cycle under injected torn writes: a serve
 /// session checkpoints cleanly, a later checkpoint tears, and the next
 /// session resumes from the previous generation — reporting the

@@ -1,18 +1,13 @@
-//! Determinism and Theorem 11 conformance for sharded summarization.
+//! Theorem 11 conformance for sharded summarization on `Pipeline`.
 //!
-//! `parallel_summarize` partitions a stream across worker threads and merges
-//! the per-shard summaries with the k-sparse replay of Section 6.2. Two
-//! things must hold regardless of how the OS schedules those threads:
-//!
-//! 1. the result is a pure function of `(chunks, k, summary configs)` —
-//!    repeated runs are bit-identical;
-//! 2. the merged summary keeps the Theorem 11 `(3A, A + B)` k-tail
-//!    guarantee over the *whole* stream for any partitioning.
+//! A `Pipeline` partitions a stream across shard worker threads, and
+//! `merged_k_sparse` merges the per-shard summaries with the k-sparse
+//! replay of Section 6.2. The merged summary must keep the Theorem 11
+//! `(3A, A + B)` k-tail guarantee over the *whole* stream for any
+//! partitioning, whatever the shard count.
 
-use hh::counters::parallel::parallel_summarize;
 use hh::prelude::*;
 use hh::streamgen::exact_zipf_counts;
-use hh::streamgen::generators::split;
 use hh::streamgen::zipf::{stream_from_counts, StreamOrder};
 
 // Kept in the regime the paper's merge experiments use (m/k ~ 8, clear
@@ -30,8 +25,22 @@ fn workload() -> Vec<u64> {
     stream_from_counts(&counts, StreamOrder::Shuffled(9))
 }
 
-fn summarize(chunks: &[Vec<u64>]) -> SpaceSaving<u64> {
-    parallel_summarize(chunks, K, || SpaceSaving::new(M), || SpaceSaving::new(M))
+/// Summarizes `stream` on `shards` order-preserving shards and returns the
+/// k-sparse merge. Round-robin routing with one batch per shard deals each
+/// shard one contiguous `1/shards` slice of the stream.
+fn summarize(stream: &[u64], shards: usize) -> Engine<u64> {
+    let mut pipeline: Pipeline<u64> =
+        PipelineConfig::new(EngineConfig::new(AlgoKind::SpaceSaving).counters(M))
+            .shards(shards)
+            .routing(Routing::RoundRobin)
+            .ingest(ShardIngest::Preserve)
+            .batch_size(stream.len().div_ceil(shards).max(1))
+            .spawn()
+            .expect("valid pipeline config");
+    pipeline.send_batch(stream).expect("shards alive");
+    let merged = pipeline.merged_k_sparse(K).expect("epoch query");
+    pipeline.finish().expect("clean shutdown");
+    merged
 }
 
 /// The Theorem 11 merged-summary error bound for this workload.
@@ -50,37 +59,24 @@ fn one_way_and_eight_way_partitions_both_meet_the_merged_tail_bound() {
     let oracle = ExactCounter::from_stream(&stream);
     let bound = merged_bound(&stream);
 
-    for parts in [1usize, 8] {
-        let merged = summarize(&split(&stream, parts));
+    for shards in [1usize, 8] {
+        let merged = summarize(&stream, shards);
         assert!(merged.stored_len() <= M);
         for item in 1..=(N as u64) {
             let err = oracle.count(&item).abs_diff(merged.estimate(&item));
             assert!(
                 err as f64 <= bound + 1e-9,
-                "parts={parts} item={item}: error {err} exceeds (3A, A+B) bound {bound}"
+                "shards={shards} item={item}: error {err} exceeds (3A, A+B) bound {bound}"
             );
         }
     }
 }
 
 #[test]
-fn eight_way_summarization_is_deterministic_across_runs() {
-    let stream = workload();
-    let chunks = split(&stream, 8);
-    let first = summarize(&chunks);
-    // Re-running over the same partition must not depend on thread timing.
-    for _ in 0..3 {
-        let again = summarize(&chunks);
-        assert_eq!(again.entries_with_err(), first.entries_with_err());
-        assert_eq!(again.stream_len(), first.stream_len());
-    }
-}
-
-#[test]
 fn partitioning_does_not_change_the_consumed_stream_length() {
     let stream = workload();
-    for parts in [1usize, 3, 8] {
-        let merged = summarize(&split(&stream, parts));
+    for shards in [1usize, 3, 8] {
+        let merged = summarize(&stream, shards);
         // The k-sparse replay keeps at most k entries per shard, so the
         // merged mass is bounded by the stream, never above it.
         assert!(merged.stream_len() <= stream.len() as u64);

@@ -7,9 +7,10 @@
 //!    the merged `(3A, A+B)` k-tail bound of ground truth, in both
 //!    order-preserving and aggregating shard-ingest modes (the merge
 //!    guarantee never conditions on partition or arrival order);
-//! 2. **`parallel_summarize` conformance** — with deterministic routing
-//!    and order-preserving ingest, the pipeline's k-sparse merged query
-//!    equals `parallel_summarize` on the same partition, bit for bit;
+//! 2. **sequential-merge conformance** — with deterministic routing and
+//!    order-preserving ingest, the pipeline's k-sparse merged query
+//!    equals summarizing each part of the same partition sequentially
+//!    and k-sparse-merging the summaries (`merge_k_sparse`), bit for bit;
 //! 3. **determinism** — the pipeline's output is a pure function of its
 //!    input sequence and configuration; OS thread scheduling never leaks
 //!    into results.
@@ -17,7 +18,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hh::counters::parallel::parallel_summarize;
+use hh::counters::merge::merge_k_sparse;
 use hh::pipeline::{hash_shard, PipelineConfig, Routing, ShardIngest};
 use hh::prelude::*;
 use hh::streamgen::exact_zipf_counts;
@@ -97,14 +98,15 @@ proptest! {
         }
     }
 
-    /// Property 2: with order-preserving ingest the pipeline is the
-    /// streaming twin of `parallel_summarize` — its k-sparse merged query
-    /// equals the batch helper on the partition the routing produced,
-    /// bit for bit. Both routing modes are deterministic; the partition
-    /// is reconstructed from the documented contracts (`hash_shard`, and
+    /// Property 2: with order-preserving ingest the pipeline's k-sparse
+    /// merged query equals the sequential construction on the partition
+    /// the routing produced — one `SpaceSaving::update_batch` per part,
+    /// then `merge_k_sparse` — bit for bit. The oracle runs no threads.
+    /// Both routing modes are deterministic; the partition is
+    /// reconstructed from the documented contracts (`hash_shard`, and
     /// whole-batch rotation for round-robin).
     #[test]
-    fn preserve_pipeline_equals_parallel_summarize(
+    fn preserve_pipeline_equals_sequential_merge(
         seed in 0u64..1000,
         shards in 1usize..6,
         batch in 1usize..300,
@@ -131,14 +133,17 @@ proptest! {
                 }
             }
         }
-        let via_parallel = parallel_summarize(
-            &partition,
-            K,
-            || SpaceSaving::<u64>::new(M),
-            || SpaceSaving::<u64>::new(M),
-        );
-        prop_assert_eq!(via_pipeline.entries(), via_parallel.entries());
-        prop_assert_eq!(via_pipeline.stream_len(), via_parallel.stream_len());
+        let summaries: Vec<SpaceSaving<u64>> = partition
+            .iter()
+            .map(|part| {
+                let mut summary = SpaceSaving::new(M);
+                summary.update_batch(part);
+                summary
+            })
+            .collect();
+        let sequential = merge_k_sparse(&summaries, K, || SpaceSaving::<u64>::new(M));
+        prop_assert_eq!(via_pipeline.entries(), sequential.entries());
+        prop_assert_eq!(via_pipeline.stream_len(), sequential.stream_len());
     }
 
     /// Property 3: repeated runs over the same input and configuration
