@@ -40,7 +40,8 @@ options:
                      stickysampling, countmin or countsketch
   --seed <N>         seed for randomized backends (default 0)
   --items <a,b,c>    comma-separated items for `estimate`
-  --weighted         lines are `item weight` (SPACESAVINGR / FREQUENTR)
+  --weighted         lines are `item weight` (SPACESAVINGR / FREQUENTR);
+                     weighted rows carry certified [lower..=upper] intervals
   --json             machine-readable output
   --snapshot-out <F> write the engine snapshot to F after ingest
   --snapshot-in <F>  resume from a snapshot written by --snapshot-out

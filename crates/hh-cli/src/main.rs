@@ -2,9 +2,11 @@
 //!
 //! Reads a stream of items (one per line; with `--weighted`, lines are
 //! `item weight`) from stdin or a file and reports heavy hitters with the
-//! PODS 2009 residual guarantees. Engine state round-trips through
-//! `--snapshot-out`/`--snapshot-in`, and `hh merge` combines snapshots
-//! produced on different machines (Theorem 11).
+//! PODS 2009 residual guarantees. Both modes drive one `hh::engine::Engine`
+//! (over `u64` counts or `f64` weights), so every row, weighted or not,
+//! carries its certified `[lower..=upper]` interval. Engine state
+//! round-trips through `--snapshot-out`/`--snapshot-in`, and `hh merge`
+//! combines snapshots produced on different machines (Theorem 11).
 //!
 //! ```text
 //! hh topk  -k 10 -m 256 [--algo spacesaving|frequent|...] [FILE]
@@ -37,7 +39,7 @@ mod cli;
 
 use cli::{parse_args, Command, Options};
 use hh::counters::Confidence;
-use hh::engine::{Engine, Snapshot, WeightedEngine};
+use hh::engine::{Engine, EngineConfig, HeavyHitterEntry, ReportEntry, Snapshot, Weight};
 use hh::net::{proto, ServeSession, Server};
 use hh::pipeline::PipelineStats;
 use hh::Error;
@@ -111,58 +113,75 @@ fn main() -> ExitCode {
 
 fn run(opts: Options, reader: impl BufRead) -> Result<String, Error> {
     if opts.weighted {
-        run_weighted(opts, reader)
+        summarize(opts, reader, EngineConfig::build_weighted, parse_weighted)
     } else {
-        run_unweighted(opts, reader)
+        summarize(opts, reader, EngineConfig::build, parse_item)
     }
 }
 
-/// Lines buffered per [`Engine::update_many`] chunk: large enough that the
-/// per-chunk virtual call and pre-aggregation setup are noise, small enough
-/// to stay cache-resident.
-const INGEST_CHUNK: usize = 8192;
+/// An unweighted line is one arrival of the trimmed line.
+fn parse_item(line: &str) -> Result<(&str, u64), Error> {
+    Ok((line.trim(), 1))
+}
 
-fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    let mut engine: Engine<String> = match &opts.snapshot_in {
+/// A `--weighted` line is `item weight`, with a finite weight `≥ 0`.
+fn parse_weighted(line: &str) -> Result<(&str, f64), Error> {
+    let mut parts = line.split_whitespace();
+    let item = parts.next().unwrap_or_default();
+    let w: f64 = parts
+        .next()
+        .ok_or_else(|| {
+            Error::parse(format!(
+                "weighted mode needs 'item weight' lines, got {line:?}"
+            ))
+        })?
+        .parse()
+        .map_err(|e| Error::parse(format!("bad weight in {line:?}: {e}")))?;
+    if w < 0.0 || !w.is_finite() {
+        return Err(Error::parse(format!(
+            "negative or non-finite weight in {line:?}"
+        )));
+    }
+    Ok((item, w))
+}
+
+/// Summarizes FILE/stdin (on top of `--snapshot-in`, if given) into an
+/// `Engine<String, W>` and answers the command. The two modes differ only
+/// in how `parse` turns a non-blank line into an `(item, count)` arrival.
+fn summarize<W: Weight>(
+    opts: Options,
+    reader: impl BufRead,
+    build: fn(&EngineConfig) -> Result<Engine<String, W>, Error>,
+    parse: fn(&str) -> Result<(&str, W), Error>,
+) -> Result<String, Error> {
+    let mut engine: Engine<String, W> = match &opts.snapshot_in {
         Some(path) => Engine::from_json(&std::fs::read_to_string(path)?)?,
-        None => opts.engine_config().build()?,
+        None => build(&opts.engine_config())?,
     };
-
-    // Chunked ingest (the `Engine::update_many` driver shape, one chunk at
-    // a time as the reader fills it): each buffer goes through the
-    // engine's batched fast path — run-length / pre-aggregated per backend
-    // — instead of one virtual dispatch per line.
-    let mut chunk: Vec<String> = Vec::with_capacity(INGEST_CHUNK);
     for line in reader.lines() {
         let line = line?;
-        let item = line.trim();
-        if item.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        chunk.push(item.to_string());
-        if chunk.len() == INGEST_CHUNK {
-            engine.update_batch(&chunk);
-            chunk.clear();
-        }
-    }
-    if !chunk.is_empty() {
-        engine.update_batch(&chunk);
+        let (item, count) = parse(&line)?;
+        engine.update_by(item.to_string(), count);
     }
 
     let report = engine.report();
+    let stream_len = engine.stream_len();
     let out = match opts.command {
-        Command::TopK => render_counts(&report.top_k(opts.k), engine.stream_len(), opts.json),
+        Command::TopK => render_counts(&report.top_k(opts.k), stream_len, opts.json),
         Command::Heavy => {
             let hits = report.heavy_hitters(opts.phi)?;
-            render_heavy(&hits, opts.phi, engine.stream_len(), opts.json)
+            render_heavy(&hits, opts.phi, stream_len, opts.json)
         }
         Command::Estimate => {
-            let rows: Vec<hh::engine::ReportEntry<String>> = opts
+            let rows: Vec<ReportEntry<String, W>> = opts
                 .items
                 .iter()
                 .map(|i| {
                     let (lower, upper) = report.interval(i);
-                    hh::engine::ReportEntry {
+                    ReportEntry {
                         item: i.clone(),
                         estimate: engine.estimate(i),
                         lower,
@@ -170,22 +189,19 @@ fn run_unweighted(opts: Options, reader: impl BufRead) -> Result<String, Error> 
                     }
                 })
                 .collect();
-            render_counts(&rows, engine.stream_len(), opts.json)
+            render_counts(&rows, stream_len, opts.json)
         }
         Command::Residual => {
             let res = report.residual(opts.k);
             if opts.json {
                 format!(
-                    "{{\"k\":{},\"residual_estimate\":{},\"stream_len\":{}}}",
-                    opts.k,
-                    res,
-                    engine.stream_len()
+                    "{{\"k\":{},\"residual_estimate\":{res},\"stream_len\":{stream_len}}}",
+                    opts.k
                 )
             } else {
                 format!(
-                    "F1^res({}) ~= {res}   (stream length {})",
-                    opts.k,
-                    engine.stream_len()
+                    "F1^res({}) ~= {res:.3}   (stream length {stream_len:.3})",
+                    opts.k
                 )
             }
         }
@@ -529,113 +545,37 @@ fn write_serve_report(
     Ok(())
 }
 
-fn run_weighted(opts: Options, reader: impl BufRead) -> Result<String, Error> {
-    let mut engine: WeightedEngine<String> = match &opts.snapshot_in {
-        Some(path) => WeightedEngine::from_json(&std::fs::read_to_string(path)?)?,
-        None => opts.engine_config().build_weighted()?,
-    };
-
-    for line in reader.lines() {
-        let line = line?;
-        let mut parts = line.split_whitespace();
-        let Some(item) = parts.next() else { continue };
-        let w: f64 = parts
-            .next()
-            .ok_or_else(|| {
-                Error::parse(format!(
-                    "weighted mode needs 'item weight' lines, got {line:?}"
-                ))
-            })?
-            .parse()
-            .map_err(|e| Error::parse(format!("bad weight in {line:?}: {e}")))?;
-        if w < 0.0 || !w.is_finite() {
-            return Err(Error::parse(format!(
-                "negative or non-finite weight in {line:?}"
-            )));
-        }
-        engine.update(item.to_string(), w);
-    }
-
-    let report = engine.weighted_report();
-    let total = hh::counters::WeightedFrequencyEstimator::total_weight(&engine);
-    let out = match opts.command {
-        Command::TopK => render_weights(&report.top_k(opts.k), total, opts.json),
-        Command::Heavy => {
-            let hits = report.heavy_hitters(opts.phi)?;
-            render_weighted_heavy(&hits, opts.phi, total, opts.json)
-        }
-        Command::Estimate => {
-            let rows: Vec<hh::engine::WeightedReportEntry<String>> = opts
-                .items
-                .iter()
-                .map(|i| {
-                    let (lower, upper) = report.interval(i);
-                    hh::engine::WeightedReportEntry {
-                        item: i.clone(),
-                        estimate: engine.estimate(i),
-                        lower,
-                        upper,
-                    }
-                })
-                .collect();
-            render_weights(&rows, total, opts.json)
-        }
-        Command::Residual => {
-            let res = report.residual(opts.k);
-            if opts.json {
-                format!("{{\"k\":{},\"residual_estimate\":{res}}}", opts.k)
-            } else {
-                format!("F1^res({}) ~= {res:.3}", opts.k)
-            }
-        }
-        Command::Merge | Command::Gen | Command::Serve | Command::Client | Command::Stats => {
-            unreachable!("handled in main")
-        }
-    };
-
-    if let Some(path) = &opts.snapshot_out {
-        hh::net::checkpoint::atomic_write(path, engine.to_json()?.as_bytes())?;
-    }
-    Ok(out)
-}
-
 /// `hh merge`: combine two or more snapshot files (Theorem 11's merge with
-/// full counter replay; cell-wise for sketches) and report the top-k.
+/// full counter replay; cell-wise for sketches) and report the top-k. The
+/// first snapshot decides the count type.
 fn run_merge(opts: &Options) -> Result<String, Error> {
     let mut snapshots = Vec::new();
     for path in &opts.inputs {
         let snap: Snapshot<String> = serde_json::from_str(&std::fs::read_to_string(path)?)?;
         snapshots.push(snap);
     }
-    let weighted = snapshots[0].is_weighted();
-
-    let out;
-    let json;
-    if weighted {
-        let mut engine = WeightedEngine::from_snapshot(snapshots.remove(0))?;
-        for snap in &snapshots {
-            engine.merge_snapshot(snap)?;
-        }
-        let total = hh::counters::WeightedFrequencyEstimator::total_weight(&engine);
-        out = render_weights(&engine.weighted_report().top_k(opts.k), total, opts.json);
-        json = engine.to_json()?;
+    if snapshots[0].is_weighted() {
+        merge::<f64>(opts, snapshots)
     } else {
-        let mut engine = Engine::from_snapshot(snapshots.remove(0))?;
-        for snap in &snapshots {
-            engine.merge_snapshot(snap)?;
-        }
-        out = render_counts(
-            &engine.report().top_k(opts.k),
-            engine.stream_len(),
-            opts.json,
-        );
-        json = engine.to_json()?;
+        merge::<u64>(opts, snapshots)
     }
+}
 
-    if let Some(path) = &opts.snapshot_out {
-        hh::net::checkpoint::atomic_write(path, json.as_bytes())?;
+fn merge<W: Weight>(opts: &Options, snapshots: Vec<Snapshot<String>>) -> Result<String, Error> {
+    let mut snapshots = snapshots.into_iter();
+    let first = snapshots.next().expect("parse_args requires merge inputs");
+    let mut engine = Engine::<String, W>::try_from(first)?;
+    for snap in snapshots {
+        engine.merge_snapshot(&snap)?;
     }
-    Ok(out)
+    if let Some(path) = &opts.snapshot_out {
+        hh::net::checkpoint::atomic_write(path, engine.to_json()?.as_bytes())?;
+    }
+    Ok(render_counts(
+        &engine.report().top_k(opts.k),
+        engine.stream_len(),
+        opts.json,
+    ))
 }
 
 /// `hh gen`: emit a shuffled Zipf trace, one item per line.
@@ -662,7 +602,9 @@ fn json_str(s: &str) -> String {
     serde_json::to_string(s).expect("string serializes")
 }
 
-fn render_counts(rows: &[hh::engine::ReportEntry<String>], stream_len: u64, json: bool) -> String {
+// Counts print with `{:.3}`: three decimals for real weights, while
+// integer formatting ignores the precision.
+fn render_counts<W: Weight>(rows: &[ReportEntry<String, W>], stream_len: W, json: bool) -> String {
     if json {
         let cells: Vec<String> = rows
             .iter()
@@ -679,25 +621,25 @@ fn render_counts(rows: &[hh::engine::ReportEntry<String>], stream_len: u64, json
         format!("[{}]", cells.join(","))
     } else {
         let mut out = format!(
-            "{:<24} {:>12} {:>18}   (stream length {stream_len})\n",
+            "{:<24} {:>12} {:>18}   (stream length {stream_len:.3})\n",
             "item", "count", "certified range"
         );
         for r in rows {
             out.push_str(&format!(
-                "{:<24} {:>12} {:>18}\n",
+                "{:<24} {:>12.3} {:>18}\n",
                 r.item,
                 r.estimate,
-                format!("[{}..={}]", r.lower, r.upper)
+                format!("[{:.3}..={:.3}]", r.lower, r.upper)
             ));
         }
         out.trim_end().to_string()
     }
 }
 
-fn render_heavy(
-    rows: &[hh::engine::HeavyHitterEntry<String>],
+fn render_heavy<W: Weight>(
+    rows: &[HeavyHitterEntry<String, W>],
     phi: f64,
-    stream_len: u64,
+    stream_len: W,
     json: bool,
 ) -> String {
     if json {
@@ -716,76 +658,11 @@ fn render_heavy(
     } else {
         let mut out = format!(
             "items above phi={phi} of stream (threshold {:.1}):\n",
-            phi * stream_len as f64
+            phi * stream_len.to_f64()
         );
         for r in rows {
             out.push_str(&format!(
-                "{:<24} {:>12}  {}\n",
-                r.item,
-                r.estimate,
-                confidence_str(r.confidence)
-            ));
-        }
-        out.trim_end().to_string()
-    }
-}
-
-fn render_weights(
-    rows: &[hh::engine::WeightedReportEntry<String>],
-    total_weight: f64,
-    json: bool,
-) -> String {
-    if json {
-        let cells: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"item\":{},\"weight\":{}}}",
-                    json_str(&r.item),
-                    r.estimate
-                )
-            })
-            .collect();
-        format!("[{}]", cells.join(","))
-    } else {
-        let mut out = format!(
-            "{:<24} {:>14}   (total weight {total_weight:.3})\n",
-            "item", "weight"
-        );
-        for r in rows {
-            out.push_str(&format!("{:<24} {:>14.3}\n", r.item, r.estimate));
-        }
-        out.trim_end().to_string()
-    }
-}
-
-fn render_weighted_heavy(
-    rows: &[hh::engine::WeightedHeavyHitterEntry<String>],
-    phi: f64,
-    total_weight: f64,
-    json: bool,
-) -> String {
-    if json {
-        let cells: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"item\":{},\"weight\":{},\"confidence\":\"{}\"}}",
-                    json_str(&r.item),
-                    r.estimate,
-                    confidence_str(r.confidence)
-                )
-            })
-            .collect();
-        format!("[{}]", cells.join(","))
-    } else {
-        let mut out = format!(
-            "items above phi={phi} of total weight (threshold {:.3}):\n",
-            phi * total_weight
-        );
-        for r in rows {
-            out.push_str(&format!(
-                "{:<24} {:>14.3}  {}\n",
+                "{:<24} {:>12.3}  {}\n",
                 r.item,
                 r.estimate,
                 confidence_str(r.confidence)
@@ -972,6 +849,41 @@ mod tests {
                 "{first} + {second}"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `hh merge` of a weighted snapshot with a corrupt weighted donor (an
+    /// infinite, negative or NaN weight, or `err > weight`) fails with a
+    /// typed error, never a panic or a silently dropped counter.
+    #[test]
+    fn merge_rejects_corrupt_weighted_snapshots() {
+        let dir = std::env::temp_dir().join(format!("hh-cli-weighted-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, entries: &str| {
+            let path = dir.join(name);
+            let json = format!(
+                "{{\"algo\":\"space_saving_r\",\"state\":{{\"capacity\":4,\
+                 \"total_weight\":3.0,\"absorbed_slack\":0.0,\"entries\":[{entries}]}}}}"
+            );
+            std::fs::write(&path, json).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let good = write("good.json", "[\"a\",3.0,0.0]");
+        for (name, entries) in [
+            ("inf.json", "[\"a\",1e999,0.0]"),
+            ("neg.json", "[\"a\",-5.0,0.0]"),
+            ("err.json", "[\"a\",3.0,4.0]"),
+        ] {
+            let bad = write(name, entries);
+            let o = opts(&["merge", "-k", "2", &good, &bad]);
+            assert!(
+                matches!(run_merge(&o), Err(Error::CorruptSnapshot(_))),
+                "{name}"
+            );
+        }
+        let o = opts(&["merge", "-k", "2", &good, &good]);
+        let out = run_merge(&o).unwrap();
+        assert!(out.contains("[6.000..=6.000]"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -134,40 +134,54 @@ impl<I: Eq + Hash + Clone + Ord> SpaceSavingR<I> {
     /// own overcount bound `err ≤ w` is added to the entry's stored
     /// annotation, so post-merge certified lower weights (`c_i − err_i`)
     /// remain sound.
-    pub fn absorb_counter(&mut self, item: &I, w: f64, err: f64) {
-        if w <= 0.0 {
+    fn absorb_counter(&mut self, item: &I, w: f64, err: f64) {
+        if w == 0.0 {
             return;
         }
         self.update_weighted(item.clone(), w);
         if let Some(entry) = self.counts.get_mut(item) {
-            entry.1 += err.clamp(0.0, w);
+            // `from_parts` lets `err` exceed the weight by float noise
+            entry.1 += err.min(w);
         }
     }
 
-    /// Absorbs another SPACESAVINGR summary's snapshot state (Theorem 11
-    /// merging): replays every stored `(item, weight, err)` counter via
-    /// [`SpaceSavingR::absorb_counter`], then widens the upper-bound slack
-    /// by the donor's minimum counter (plus any slack the donor itself had
-    /// absorbed) — an item the donor did not store may still carry up to
-    /// that much weight in its stream.
-    pub fn absorb_parts(&mut self, entries: &[(I, f64, f64)], capacity: usize, slack: f64) {
-        let donor_min = if entries.len() >= capacity {
+    /// Absorbs another SPACESAVINGR summary's snapshot parts (Theorem 11
+    /// merging): replays every stored `(item, weight, err)` counter, then
+    /// widens the upper-bound slack by the donor's minimum counter (plus
+    /// any slack the donor itself had absorbed) — an item the donor did
+    /// not store may still carry up to that much weight in its stream.
+    ///
+    /// Returns [`Error::CorruptSnapshot`], leaving `self` unchanged, for
+    /// parts [`SpaceSavingR::from_parts`] rejects, or when the merged total
+    /// weight plus slack would not be finite.
+    pub fn absorb_parts(
+        &mut self,
+        m: usize,
+        total_weight: f64,
+        slack: f64,
+        entries: &[(I, f64, f64)],
+    ) -> Result<(), Error> {
+        Self::from_parts(m, total_weight, slack, entries.to_vec())?;
+        let donor_min = if entries.len() >= m {
             entries
                 .iter()
                 .map(|&(_, w, _)| w)
                 .fold(f64::INFINITY, f64::min)
-                .max(0.0)
         } else {
             0.0
         };
+        // every merged counter is at most the merged total weight
+        let mass: f64 = entries.iter().map(|&(_, w, _)| w).sum();
+        if !(self.total + mass + self.absorbed_slack + donor_min + slack).is_finite() {
+            return Err(Error::corrupt_snapshot(
+                "merged total weight plus slack is not finite",
+            ));
+        }
         for (item, weight, err) in entries {
             self.absorb_counter(item, *weight, *err);
         }
-        self.absorbed_slack += (if donor_min.is_finite() {
-            donor_min
-        } else {
-            0.0
-        }) + slack.max(0.0);
+        self.absorbed_slack += donor_min + slack;
+        Ok(())
     }
 
     /// The accumulated donor-minimum slack from absorbed snapshots (0 for a
@@ -373,21 +387,40 @@ impl<I: Eq + Hash + Clone + Ord> FrequentR<I> {
         self.offset + self.absorbed
     }
 
-    /// Absorbs another FREQUENTR summary's snapshot state (Theorem 11
+    /// Absorbs another FREQUENTR summary's snapshot parts (Theorem 11
     /// merging): replays the donor's stored `(item, value)` counters, then
     /// accounts for the donor's reductions and unreplayed weight so the
     /// merged `estimate + reductions` upper bound and total weight stay
     /// sound. Estimates keep underestimating the combined weights.
-    pub fn absorb_parts(&mut self, entries: &[(I, f64)], reductions: f64, total_weight: f64) {
-        let mut mass = 0.0f64;
-        for (item, value) in entries {
-            if *value > 0.0 {
-                self.update_weighted(item.clone(), *value);
-                mass += *value;
-            }
+    ///
+    /// Returns [`Error::CorruptSnapshot`], leaving `self` unchanged, for
+    /// parts [`FrequentR::from_parts`] rejects, or when the merged counters,
+    /// total weight or reductions would not be finite.
+    pub fn absorb_parts(
+        &mut self,
+        m: usize,
+        total_weight: f64,
+        reductions: f64,
+        entries: &[(I, f64)],
+    ) -> Result<(), Error> {
+        Self::from_parts(m, total_weight, reductions, entries.to_vec())?;
+        // Replaying `mass` raises the offset and any logical value by at
+        // most `mass`, so every merged raw counter (offset + value), the
+        // merged total and the merged reductions are each below this sum.
+        let mass: f64 = entries.iter().map(|&(_, value)| value).sum();
+        let bound =
+            self.offset + self.absorbed + self.total + 2.0 * mass + total_weight + reductions;
+        if !bound.is_finite() {
+            return Err(Error::corrupt_snapshot(
+                "merged FrequentR counters or total weight are not finite",
+            ));
         }
-        self.absorbed += reductions.max(0.0);
+        for (item, value) in entries {
+            self.update_weighted(item.clone(), *value);
+        }
+        self.absorbed += reductions;
         self.total += (total_weight - mass).max(0.0);
+        Ok(())
     }
 
     fn zero_tolerance(&self) -> f64 {
@@ -427,12 +460,13 @@ impl<I: Eq + Hash + Clone + Ord> FrequentR<I> {
         s.total = total_weight;
         s.offset = reductions;
         for (item, value) in entries {
-            if !value.is_finite() || value <= 0.0 {
+            let raw = reductions + value;
+            if !raw.is_finite() || value <= 0.0 {
                 return Err(Error::corrupt_snapshot(
-                    "stored logical values must be finite and positive",
+                    "stored logical values must be positive and finite, \
+                     also on top of the reductions",
                 ));
             }
-            let raw = reductions + value;
             if s.raw.insert(item.clone(), raw).is_some() {
                 return Err(Error::corrupt_snapshot("duplicate item in snapshot"));
             }

@@ -10,7 +10,10 @@
 //! engine answers the same [`Report`] queries (top-k, φ-heavy hitters with
 //! confidence labels, residual estimation, per-item bound intervals),
 //! serializes to one portable [`Snapshot`] format, and merges across
-//! processes via [`Engine::merge`] (Theorem 11).
+//! processes via [`Engine::merge`] (Theorem 11). The same `Engine` counts
+//! real weights (Section 6.1's SPACESAVINGR and FREQUENTR) when built by
+//! [`EngineConfig::build_weighted`]: its count type ([`Weight`]) is `f64`
+//! instead of the default `u64`.
 //!
 //! ```
 //! use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -34,7 +37,6 @@ use std::str::FromStr;
 
 use hh_counters::error::Error;
 use hh_counters::heavy_hitters::Confidence;
-use hh_counters::recovery;
 use hh_counters::topk::zipf_counters_for_topk;
 use hh_counters::traits::{Bias, FrequencyEstimator, TailConstants, WeightedFrequencyEstimator};
 use hh_counters::{Frequent, FrequentR, LossyCounting, SpaceSaving, SpaceSavingR, StickySampling};
@@ -329,8 +331,9 @@ pub const CS_DEPTH: usize = 5;
 const STICKY_SUPPORT: f64 = 0.01;
 const STICKY_DELTA: f64 = 0.1;
 
-/// Builder describing how to construct an [`Engine`] (or a
-/// [`WeightedEngine`]).
+/// Builder describing how to construct an [`Engine`] over integer counts
+/// ([`EngineConfig::build`]) or real weights
+/// ([`EngineConfig::build_weighted`]).
 ///
 /// ```
 /// use hh_sketches::engine::{AlgoKind, CapacitySpec, EngineConfig};
@@ -497,7 +500,7 @@ impl EngineConfig {
     /// ```
     pub fn build<I: EngineItem>(&self) -> Result<Engine<I>, Error> {
         let budget = self.resolved_counters()?;
-        let backend: Box<dyn Backend<I> + Send> = match self.algo {
+        let backend: Box<dyn Counter<I> + Send> = match self.algo {
             AlgoKind::SpaceSaving => Box::new(SpaceSaving::new(budget)),
             AlgoKind::Frequent => Box::new(Frequent::new(budget)),
             AlgoKind::LossyCounting => Box::new(LossyCounting::with_width(budget as u64)),
@@ -524,12 +527,7 @@ impl EngineConfig {
                 ))
             }
         };
-        Ok(Engine {
-            backend,
-            kind: self.algo,
-            ingest: IngestStats::default(),
-            unobserved: 0,
-        })
+        Ok(Engine::with_backend(self.algo, backend))
     }
 
     /// Builds the real-weighted variant (Section 6.1: SPACESAVINGR or
@@ -545,13 +543,13 @@ impl EngineConfig {
     ///     .counters(16)
     ///     .build_weighted::<u64>()
     ///     .unwrap();
-    /// e.update(7, 2.5);
+    /// e.update_by(7, 2.5);
     /// assert!((e.estimate(&7) - 2.5).abs() < 1e-12);
     /// assert!(EngineConfig::new(AlgoKind::CountMin).build_weighted::<u64>().is_err());
     /// ```
-    pub fn build_weighted<I: EngineItem>(&self) -> Result<WeightedEngine<I>, Error> {
+    pub fn build_weighted<I: EngineItem>(&self) -> Result<Engine<I, f64>, Error> {
         let budget = self.resolved_counters()?;
-        let backend: Box<dyn WeightedBackend<I> + Send> = match self.algo {
+        let backend: Box<dyn RealCounter<I> + Send> = match self.algo {
             AlgoKind::SpaceSaving => Box::new(SpaceSavingR::new(budget)),
             AlgoKind::Frequent => Box::new(FrequentR::new(budget)),
             other => {
@@ -561,10 +559,7 @@ impl EngineConfig {
                 })
             }
         };
-        Ok(WeightedEngine {
-            backend,
-            kind: self.algo,
-        })
+        Ok(Engine::with_backend(self.algo, backend))
     }
 }
 
@@ -728,9 +723,9 @@ pub struct FrequentRState<I> {
 /// The single portable snapshot format covering every engine backend.
 ///
 /// A snapshot round-trips through JSON (or any serde format) and
-/// rehydrates — via [`Engine::from_snapshot`] /
-/// [`WeightedEngine::from_snapshot`] — into an engine whose estimates,
-/// bounds and tie-breaking state are identical to the captured one's.
+/// rehydrates — via [`Engine::from_snapshot`], or `TryFrom` for either
+/// [`Weight`] — into an engine whose estimates, bounds and tie-breaking
+/// state are identical to the captured one's.
 /// Snapshots are also the merge currency: [`Engine::merge_snapshot`]
 /// absorbs a snapshot produced by another process.
 ///
@@ -875,17 +870,277 @@ fn check_cs_hash_rev(rev: u32) -> Result<(), Error> {
 }
 
 // ---------------------------------------------------------------------------
-// Backend plumbing
+// Count types and backend plumbing
 // ---------------------------------------------------------------------------
 
-/// Object-safe extension every engine backend implements on top of
-/// [`FrequencyEstimator`]: snapshot capture and snapshot absorption.
-trait Backend<I: EngineItem>: FrequencyEstimator<I> {
-    fn snapshot(&self) -> Snapshot<I>;
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error>;
+/// The count type an [`Engine`] accumulates: `u64` occurrences (the
+/// default) or `f64` real weights (Section 6.1's SPACESAVINGR and
+/// FREQUENTR, whose Theorem 10 keeps the `A = B = 1` tail guarantee over
+/// the weight vector). Sealed: the engine knows how to build, restore and
+/// query a backend for exactly these two.
+///
+/// ```
+/// use hh_sketches::engine::{AlgoKind, EngineConfig};
+///
+/// // an `Engine<&str, f64>` over SPACESAVINGR
+/// let mut w = EngineConfig::new(AlgoKind::SpaceSaving)
+///     .counters(8)
+///     .build_weighted::<&'static str>()
+///     .unwrap();
+/// w.update_by("flow-a", 120.0);
+/// w.update_by("flow-b", 3.5);
+/// w.update_by("flow-a", 40.0);
+/// assert_eq!(w.report().top_k(1)[0].item, "flow-a");
+/// ```
+pub trait Weight: sealed::Sealed + fmt::Debug + fmt::Display + Send + 'static {
+    /// The count as an `f64`, for threshold arithmetic such as `φ·F1`.
+    fn to_f64(self) -> f64;
 }
 
-impl<I: EngineItem> Backend<I> for SpaceSaving<I> {
+impl Weight for u64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Weight for f64 {
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+/// The machinery behind [`Weight`], public only so the sealed trait can
+/// name it.
+mod sealed {
+    use super::*;
+
+    /// Snapshot capture and absorption, for every backend.
+    pub trait Persist<I> {
+        fn snapshot(&self) -> Snapshot<I>;
+        fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error>;
+    }
+
+    /// The object surface an [`Engine`] drives, over either count type.
+    pub trait Backend<I, W>: Persist<I> {
+        fn capacity(&self) -> usize;
+        fn stored_len(&self) -> usize;
+        /// Total mass consumed (`F1`).
+        fn stream_len(&self) -> W;
+        fn update_by(&mut self, item: I, count: W);
+        fn estimate(&self, item: &I) -> W;
+        /// Certified `(lower, upper)` bounds on the item's true count.
+        fn interval(&self, item: &I) -> (W, W);
+        /// Stored `(item, estimate)` pairs, largest first.
+        fn entries_into(&self, out: &mut Vec<(I, W)>);
+        /// The first `k` of [`Backend::entries_into`].
+        fn top_entries_into(&self, k: usize, out: &mut Vec<(I, W)>) {
+            self.entries_into(out);
+            out.truncate(k);
+        }
+    }
+
+    /// An integer backend: the whole [`FrequencyEstimator`] surface, the
+    /// batched ingest path included.
+    pub trait Counter<I: EngineItem>: FrequencyEstimator<I> + Persist<I> {}
+
+    impl<I: EngineItem, T: FrequencyEstimator<I> + Persist<I>> Counter<I> for T {}
+
+    /// A real-weighted backend (Section 6.1) with its certified bounds.
+    pub trait RealCounter<I: EngineItem>: WeightedFrequencyEstimator<I> + Persist<I> {
+        fn interval(&self, item: &I) -> (f64, f64);
+    }
+
+    pub trait Sealed: Copy + Default + std::iter::Sum {
+        /// The boxed backend object of an engine over this count type.
+        type Dyn<I: EngineItem>: ?Sized + Backend<I, Self> + Send;
+        /// Rebuilds a backend from a snapshot of this count type.
+        fn restore<I: EngineItem>(snap: Snapshot<I>) -> Result<Box<Self::Dyn<I>>, Error>;
+        fn saturating_add(self, rhs: Self) -> Self;
+        fn saturating_sub(self, rhs: Self) -> Self;
+        /// What this count adds to [`IngestStats::occurrences`]: real
+        /// weights are not occurrences and add nothing.
+        fn occurrences(self) -> u64;
+    }
+}
+
+use sealed::{Backend, Counter, Persist, RealCounter};
+
+impl sealed::Sealed for u64 {
+    type Dyn<I: EngineItem> = dyn Counter<I> + Send;
+
+    fn restore<I: EngineItem>(snap: Snapshot<I>) -> Result<Box<Self::Dyn<I>>, Error> {
+        Ok(match snap {
+            Snapshot::SpaceSaving(s) => Box::new(SpaceSaving::from_parts(
+                s.capacity,
+                s.stream_len,
+                s.absorbed_slack,
+                s.entries,
+            )?),
+            Snapshot::Frequent(s) => Box::new(Frequent::from_parts(
+                s.capacity,
+                s.stream_len,
+                s.decrements,
+                s.entries,
+            )?),
+            Snapshot::LossyCounting(s) => Box::new(LossyCounting::from_parts(
+                s.width,
+                s.window,
+                s.stream_len,
+                s.max_table,
+                s.entries,
+            )?),
+            Snapshot::StickySampling(s) => Box::new(StickySampling::from_parts(
+                s.epsilon,
+                s.window,
+                s.rate,
+                s.until_double,
+                s.rng_state,
+                s.stream_len,
+                s.max_table,
+                s.entries,
+            )?),
+            Snapshot::CountMin(s) => {
+                let rule = if s.conservative {
+                    UpdateRule::Conservative
+                } else {
+                    UpdateRule::Classic
+                };
+                let sketch =
+                    CountMin::from_parts(s.depth, s.width, s.seed, rule, s.stream_len, s.cells)?;
+                Box::new(SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)?)
+            }
+            Snapshot::CountSketch(s) => {
+                check_cs_hash_rev(s.hash_rev)?;
+                let sketch =
+                    CountSketch::from_parts(s.depth, s.width, s.seed, s.stream_len, s.cells)?;
+                Box::new(SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)?)
+            }
+            weighted @ (Snapshot::SpaceSavingR(_) | Snapshot::FrequentR(_)) => {
+                return Err(Error::Unsupported {
+                    algo: weighted.algo().name().to_string(),
+                    operation: "rehydrating a weighted snapshot into an integer engine",
+                })
+            }
+        })
+    }
+
+    fn saturating_add(self, rhs: Self) -> Self {
+        u64::saturating_add(self, rhs)
+    }
+
+    fn saturating_sub(self, rhs: Self) -> Self {
+        u64::saturating_sub(self, rhs)
+    }
+
+    fn occurrences(self) -> u64 {
+        self
+    }
+}
+
+impl sealed::Sealed for f64 {
+    type Dyn<I: EngineItem> = dyn RealCounter<I> + Send;
+
+    fn restore<I: EngineItem>(snap: Snapshot<I>) -> Result<Box<Self::Dyn<I>>, Error> {
+        Ok(match snap {
+            Snapshot::SpaceSavingR(s) => Box::new(SpaceSavingR::from_parts(
+                s.capacity,
+                s.total_weight,
+                s.absorbed_slack,
+                s.entries,
+            )?),
+            Snapshot::FrequentR(s) => Box::new(FrequentR::from_parts(
+                s.capacity,
+                s.total_weight,
+                s.reductions,
+                s.entries,
+            )?),
+            other => {
+                return Err(Error::Unsupported {
+                    algo: other.algo().name().to_string(),
+                    operation: "rehydrating an integer snapshot into a weighted engine",
+                })
+            }
+        })
+    }
+
+    fn saturating_add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+
+    fn saturating_sub(self, rhs: Self) -> Self {
+        (self - rhs).max(0.0)
+    }
+
+    fn occurrences(self) -> u64 {
+        0
+    }
+}
+
+impl<I: EngineItem> Backend<I, u64> for dyn Counter<I> + Send {
+    fn capacity(&self) -> usize {
+        FrequencyEstimator::capacity(self)
+    }
+
+    fn stored_len(&self) -> usize {
+        FrequencyEstimator::stored_len(self)
+    }
+
+    fn stream_len(&self) -> u64 {
+        FrequencyEstimator::stream_len(self)
+    }
+
+    fn update_by(&mut self, item: I, count: u64) {
+        FrequencyEstimator::update_by(self, item, count)
+    }
+
+    fn estimate(&self, item: &I) -> u64 {
+        FrequencyEstimator::estimate(self, item)
+    }
+
+    fn interval(&self, item: &I) -> (u64, u64) {
+        (self.lower_estimate(item), self.upper_estimate(item))
+    }
+
+    fn entries_into(&self, out: &mut Vec<(I, u64)>) {
+        FrequencyEstimator::entries_into(self, out)
+    }
+
+    fn top_entries_into(&self, k: usize, out: &mut Vec<(I, u64)>) {
+        FrequencyEstimator::top_entries_into(self, k, out)
+    }
+}
+
+impl<I: EngineItem> Backend<I, f64> for dyn RealCounter<I> + Send {
+    fn capacity(&self) -> usize {
+        WeightedFrequencyEstimator::capacity(self)
+    }
+
+    fn stored_len(&self) -> usize {
+        WeightedFrequencyEstimator::stored_len(self)
+    }
+
+    fn stream_len(&self) -> f64 {
+        self.total_weight()
+    }
+
+    fn update_by(&mut self, item: I, count: f64) {
+        self.update_weighted(item, count)
+    }
+
+    fn estimate(&self, item: &I) -> f64 {
+        self.estimate_weighted(item)
+    }
+
+    fn interval(&self, item: &I) -> (f64, f64) {
+        RealCounter::interval(self, item)
+    }
+
+    fn entries_into(&self, out: &mut Vec<(I, f64)>) {
+        *out = self.entries_weighted();
+    }
+}
+
+impl<I: EngineItem> Persist<I> for SpaceSaving<I> {
     fn snapshot(&self) -> Snapshot<I> {
         Snapshot::SpaceSaving(SpaceSavingState {
             capacity: self.capacity(),
@@ -906,7 +1161,7 @@ impl<I: EngineItem> Backend<I> for SpaceSaving<I> {
     }
 }
 
-impl<I: EngineItem> Backend<I> for Frequent<I> {
+impl<I: EngineItem> Persist<I> for Frequent<I> {
     fn snapshot(&self) -> Snapshot<I> {
         Snapshot::Frequent(FrequentState {
             capacity: self.capacity(),
@@ -926,7 +1181,7 @@ impl<I: EngineItem> Backend<I> for Frequent<I> {
     }
 }
 
-impl<I: EngineItem> Backend<I> for LossyCounting<I> {
+impl<I: EngineItem> Persist<I> for LossyCounting<I> {
     fn snapshot(&self) -> Snapshot<I> {
         Snapshot::LossyCounting(LossyCountingState {
             width: self.width(),
@@ -949,7 +1204,7 @@ impl<I: EngineItem> Backend<I> for LossyCounting<I> {
     }
 }
 
-impl<I: EngineItem> Backend<I> for StickySampling<I> {
+impl<I: EngineItem> Persist<I> for StickySampling<I> {
     fn snapshot(&self) -> Snapshot<I> {
         Snapshot::StickySampling(StickySamplingState {
             epsilon: self.epsilon(),
@@ -974,7 +1229,7 @@ impl<I: EngineItem> Backend<I> for StickySampling<I> {
     }
 }
 
-impl<I: EngineItem> Backend<I> for SketchHeavyHitters<I, CountMin<I>> {
+impl<I: EngineItem> Persist<I> for SketchHeavyHitters<I, CountMin<I>> {
     fn snapshot(&self) -> Snapshot<I> {
         let sketch = self.sketch();
         Snapshot::CountMin(CountMinState {
@@ -1015,7 +1270,7 @@ impl<I: EngineItem> Backend<I> for SketchHeavyHitters<I, CountMin<I>> {
     }
 }
 
-impl<I: EngineItem> Backend<I> for SketchHeavyHitters<I, CountSketch<I>> {
+impl<I: EngineItem> Persist<I> for SketchHeavyHitters<I, CountSketch<I>> {
     fn snapshot(&self) -> Snapshot<I> {
         let sketch = self.sketch();
         Snapshot::CountSketch(CountSketchState {
@@ -1051,6 +1306,74 @@ impl<I: EngineItem> Backend<I> for SketchHeavyHitters<I, CountSketch<I>> {
     }
 }
 
+impl<I: EngineItem> RealCounter<I> for SpaceSavingR<I> {
+    fn interval(&self, item: &I) -> (f64, f64) {
+        let upper = if self.err(item).is_some() {
+            // the absorbed slack covers weight a merged-in donor may have
+            // held for the item without storing it
+            self.estimate_weighted(item) + self.absorbed_slack()
+        } else {
+            // unstored: bounded by the minimum counter, whose lazy lookup
+            // needs &mut — fall back to the trivially sound total weight
+            self.total_weight()
+        };
+        (self.guaranteed_weight(item), upper)
+    }
+}
+
+impl<I: EngineItem> Persist<I> for SpaceSavingR<I> {
+    fn snapshot(&self) -> Snapshot<I> {
+        Snapshot::SpaceSavingR(SpaceSavingRState {
+            capacity: self.capacity(),
+            total_weight: self.total_weight(),
+            absorbed_slack: self.absorbed_slack(),
+            entries: self.entries_with_err(),
+        })
+    }
+
+    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
+        let Snapshot::SpaceSavingR(state) = snap else {
+            return Err(mismatch("space_saving_r", snap));
+        };
+        self.absorb_parts(
+            state.capacity,
+            state.total_weight,
+            state.absorbed_slack,
+            &state.entries,
+        )
+    }
+}
+
+impl<I: EngineItem> RealCounter<I> for FrequentR<I> {
+    fn interval(&self, item: &I) -> (f64, f64) {
+        let estimate = self.estimate_weighted(item);
+        (estimate, estimate + self.reductions())
+    }
+}
+
+impl<I: EngineItem> Persist<I> for FrequentR<I> {
+    fn snapshot(&self) -> Snapshot<I> {
+        Snapshot::FrequentR(FrequentRState {
+            capacity: self.capacity(),
+            total_weight: self.total_weight(),
+            reductions: self.reductions(),
+            entries: self.entries_weighted(),
+        })
+    }
+
+    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
+        let Snapshot::FrequentR(state) = snap else {
+            return Err(mismatch("frequent_r", snap));
+        };
+        self.absorb_parts(
+            state.capacity,
+            state.total_weight,
+            state.reductions,
+            &state.entries,
+        )
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The engine handle
 // ---------------------------------------------------------------------------
@@ -1076,10 +1399,14 @@ pub struct IngestStats {
     pub batches: u64,
 }
 
-/// A uniform, object-safe handle over any configured backend.
+/// A uniform, object-safe handle over any configured backend, counting
+/// in `u64` occurrences (the default) or `f64` real weights (see
+/// [`Weight`]).
 ///
-/// `Engine` itself implements [`FrequencyEstimator`], so everything in the
-/// workspace that is generic over estimators — `check_tail`, `k_sparse`,
+/// Both kinds answer the same [`Report`] queries, capture the same
+/// [`Snapshot`] format and merge the same way. An integer `Engine` also
+/// implements [`FrequencyEstimator`], so everything in the workspace that
+/// is generic over estimators — `check_tail`, `k_sparse`,
 /// `merge_k_sparse`, `TopKMonitor` — drives engines unchanged.
 ///
 /// ```
@@ -1092,17 +1419,19 @@ pub struct IngestStats {
 /// assert_eq!(e.estimate(&"the".to_string()), 2);
 /// assert_eq!(e.stored_len(), 1);
 /// ```
-pub struct Engine<I: EngineItem> {
-    backend: Box<dyn Backend<I> + Send>,
+///
+/// See [`Weight`] for the same engine over real weights.
+pub struct Engine<I: EngineItem, W: Weight = u64> {
+    backend: Box<W::Dyn<I>>,
     kind: AlgoKind,
     ingest: IngestStats,
     /// Occurrences known to exist in the true stream but never ingested
     /// (e.g. a crashed pipeline shard's unsnapshotted in-queue mass, see
     /// [`Engine::add_unobserved`]). Widens every upper bound and `F1`.
-    unobserved: u64,
+    unobserved: W,
 }
 
-impl<I: EngineItem> fmt::Debug for Engine<I> {
+impl<I: EngineItem, W: Weight> fmt::Debug for Engine<I, W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("algo", &self.kind)
@@ -1114,8 +1443,18 @@ impl<I: EngineItem> fmt::Debug for Engine<I> {
     }
 }
 
-impl<I: EngineItem> Engine<I> {
-    /// The algorithm this engine runs.
+impl<I: EngineItem, W: Weight> Engine<I, W> {
+    fn with_backend(kind: AlgoKind, backend: Box<W::Dyn<I>>) -> Self {
+        Engine {
+            backend,
+            kind,
+            ingest: IngestStats::default(),
+            unobserved: W::default(),
+        }
+    }
+
+    /// The algorithm this engine runs (weighted engines report their
+    /// unweighted [`AlgoKind`]).
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1126,30 +1465,174 @@ impl<I: EngineItem> Engine<I> {
         self.kind
     }
 
-    /// Short human-readable backend name (e.g. `"SpaceSaving"`,
-    /// `"CountMin(CU)"`).
-    pub fn name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// The space budget `m` the backend was built with (for sketches:
     /// cells plus candidate slots).
     pub fn capacity(&self) -> usize {
         self.backend.capacity()
     }
 
+    /// Processes `count` occurrences of `item` at once (for a weighted
+    /// engine: an arrival of weight `count`, which must be finite and
+    /// `≥ 0` — anything else panics).
+    pub fn update_by(&mut self, item: I, count: W) {
+        self.ingest.occurrences += count.occurrences();
+        self.ingest.calls += 1;
+        self.backend.update_by(item, count);
+    }
+
+    /// The backend's point estimate `c_i` (0 for unstored items).
+    pub fn estimate(&self, item: &I) -> W {
+        self.backend.estimate(item)
+    }
+
+    /// Number of items currently stored.
+    pub fn stored_len(&self) -> usize {
+        self.backend.stored_len()
+    }
+
+    /// Stored `(item, estimate)` pairs, sorted by decreasing estimate.
+    pub fn entries(&self) -> Vec<(I, W)> {
+        let mut out = Vec::new();
+        self.backend.entries_into(&mut out);
+        out
+    }
+
+    /// Total stream length accounted for so far (`F1`; the total weight of
+    /// a weighted engine): the mass the backend consumed plus any
+    /// [unobserved mass](Engine::add_unobserved).
+    pub fn stream_len(&self) -> W {
+        self.backend.stream_len().saturating_add(self.unobserved)
+    }
+
+    /// The unified query surface over this engine's current state.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build::<u64>().unwrap();
+    /// e.update_batch(&[5, 5, 5, 9]);
+    /// assert_eq!(e.report().top_k(1)[0].item, 5);
+    /// ```
+    pub fn report(&self) -> Report<'_, I, W> {
+        Report { engine: self }
+    }
+
+    /// Captures the engine's full state as a portable [`Snapshot`].
+    pub fn snapshot(&self) -> Snapshot<I> {
+        self.backend.snapshot()
+    }
+
+    /// Absorbs a snapshot produced elsewhere (another process, an earlier
+    /// run) into this engine — the cross-process merge primitive.
+    ///
+    /// Counter backends replay the snapshot's stored counters (the
+    /// full-replay variant of Theorem 11's merge, so two merged `(A, B)`
+    /// summaries keep a `(3A, A+B)` tail guarantee) while folding in the
+    /// donor's bound bookkeeping — SPACESAVING error annotations, FREQUENT
+    /// decrement rounds, LOSSYCOUNTING deltas, and their weighted
+    /// counterparts — so per-item `(lower, upper)` intervals stay sound
+    /// after the merge and `stream_len` reports the true combined `F1`.
+    /// STICKY SAMPLING merges by O(m) table union; sketch backends add
+    /// cell-wise and re-rank the candidate union. Fails with
+    /// [`Error::SnapshotMismatch`] when algorithms (or sketch shapes, or
+    /// count types) differ, and with [`Error::CorruptSnapshot`] — leaving
+    /// the engine unchanged — when a SPACESAVING or FREQUENT donor (integer
+    /// or weighted) holds state its `from_parts` would reject, or counts
+    /// that would overflow the merged summary.
+    pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
+        self.backend.absorb(snap)
+    }
+
+    /// Merges another engine of the same configuration into this one (see
+    /// [`Engine::merge_snapshot`]).
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(8);
+    /// let mut a = config.build::<u64>().unwrap();
+    /// let mut b = config.build::<u64>().unwrap();
+    /// a.update_batch(&[1, 1, 2]);
+    /// b.update_batch(&[1, 3]);
+    /// a.merge(&b).unwrap();
+    /// assert_eq!(a.stream_len(), 5);
+    /// assert_eq!(a.estimate(&1), 3);
+    /// ```
+    pub fn merge(&mut self, other: &Self) -> Result<(), Error> {
+        self.backend.absorb(&other.snapshot())?;
+        // Snapshots do not carry unobserved mass; fold it in by hand so a
+        // merge of lossy engines stays sound.
+        self.unobserved = self.unobserved.saturating_add(other.unobserved);
+        Ok(())
+    }
+
+    /// Serializes the engine's snapshot to JSON.
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
+    /// let e = EngineConfig::new(AlgoKind::SpaceSaving).counters(4).build::<u64>().unwrap();
+    /// assert!(e.to_json().unwrap().contains("space_saving"));
+    /// ```
+    pub fn to_json(&self) -> Result<String, Error>
+    where
+        I: Serialize,
+    {
+        Ok(serde_json::to_string(&self.snapshot())?)
+    }
+
+    /// Rehydrates an engine from [`Engine::to_json`] output (see the
+    /// `TryFrom<Snapshot<I>>` impl for what restoring checks).
+    ///
+    /// ```
+    /// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
+    /// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(4).build::<u64>().unwrap();
+    /// e.update_batch(&[1, 1, 2]);
+    /// let back: Engine<u64> = Engine::from_json(&e.to_json().unwrap()).unwrap();
+    /// assert_eq!(back.estimate(&1), e.estimate(&1));
+    ///
+    /// let mut w = EngineConfig::new(AlgoKind::Frequent).counters(4).build_weighted().unwrap();
+    /// w.update_by(1u64, 2.5);
+    /// let back: Engine<u64, f64> = Engine::from_json(&w.to_json().unwrap()).unwrap();
+    /// assert_eq!(back.estimate(&1), 2.5);
+    /// ```
+    pub fn from_json(json: &str) -> Result<Self, Error>
+    where
+        I: Deserialize,
+    {
+        Self::try_from(serde_json::from_str::<Snapshot<I>>(json)?)
+    }
+}
+
+/// Rehydrates an engine of either [`Weight`] from a snapshot of that count
+/// type; the restored engine answers every query identically to the
+/// captured one and continues the stream bit-identically.
+///
+/// Fails with [`Error::CorruptSnapshot`] on inconsistent state, or
+/// [`Error::Unsupported`] when the snapshot holds the other count type.
+///
+/// ```
+/// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
+/// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(4).build_weighted().unwrap();
+/// e.update_by(1u64, 2.5);
+/// let back = Engine::<u64, f64>::try_from(e.snapshot()).unwrap();
+/// assert!((back.estimate(&1) - 2.5).abs() < 1e-12);
+/// assert!(Engine::<u64>::try_from(e.snapshot()).is_err());
+/// ```
+impl<I: EngineItem, W: Weight> TryFrom<Snapshot<I>> for Engine<I, W> {
+    type Error = Error;
+
+    fn try_from(snap: Snapshot<I>) -> Result<Self, Error> {
+        let kind = snap.algo();
+        Ok(Engine::with_backend(kind, W::restore(snap)?))
+    }
+}
+
+/// The integer-only surface: batched ingest, ingest telemetry and lost-mass
+/// accounting.
+impl<I: EngineItem> Engine<I> {
     /// Processes one occurrence of `item`.
     pub fn update(&mut self, item: I) {
         self.ingest.occurrences += 1;
         self.ingest.calls += 1;
         self.backend.update(item);
-    }
-
-    /// Processes `count` occurrences of `item` at once.
-    pub fn update_by(&mut self, item: I, count: u64) {
-        self.ingest.occurrences += count;
-        self.ingest.calls += 1;
-        self.backend.update_by(item, count);
     }
 
     /// Processes a slice of arrivals through the backend's batched fast
@@ -1168,10 +1651,10 @@ impl<I: EngineItem> Engine<I> {
     }
 
     /// Processes several slices of arrivals in order — the chunked ingest
-    /// surface for drivers that buffer their input (the CLI reads line
-    /// chunks; shard workers drain partition segments). Each chunk goes
-    /// through [`Engine::update_batch`] with one virtual call, and the
-    /// backend's pre-aggregation scratch is reused across chunks.
+    /// surface for drivers that buffer their input (shard workers drain
+    /// partition segments). Each chunk goes through
+    /// [`Engine::update_batch`] with one virtual call, and the backend's
+    /// pre-aggregation scratch is reused across chunks.
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, EngineConfig};
@@ -1202,27 +1685,6 @@ impl<I: EngineItem> Engine<I> {
     /// ```
     pub fn ingest_stats(&self) -> IngestStats {
         self.ingest
-    }
-
-    /// The backend's point estimate `c_i` (0 for unstored items).
-    pub fn estimate(&self, item: &I) -> u64 {
-        self.backend.estimate(item)
-    }
-
-    /// Number of items currently stored.
-    pub fn stored_len(&self) -> usize {
-        self.backend.stored_len()
-    }
-
-    /// Stored `(item, estimate)` pairs, sorted by decreasing estimate.
-    pub fn entries(&self) -> Vec<(I, u64)> {
-        self.backend.entries()
-    }
-
-    /// Total stream length accounted for so far (`F1`): occurrences the
-    /// backend consumed plus any [unobserved mass](Engine::add_unobserved).
-    pub fn stream_len(&self) -> u64 {
-        self.backend.stream_len().saturating_add(self.unobserved)
     }
 
     /// Charges `mass` occurrences that are known to exist in the true
@@ -1264,6 +1726,12 @@ impl<I: EngineItem> Engine<I> {
         self.unobserved
     }
 
+    /// Short human-readable backend name (e.g. `"SpaceSaving"`,
+    /// `"CountMin(CU)"`).
+    pub fn name(&self) -> &'static str {
+        self.backend.name()
+    }
+
     /// The backend's bias direction.
     pub fn bias(&self) -> Bias {
         self.backend.bias()
@@ -1274,30 +1742,10 @@ impl<I: EngineItem> Engine<I> {
         self.backend.tail_constants()
     }
 
-    /// The unified query surface over this engine's current state.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build::<u64>().unwrap();
-    /// e.update_batch(&[5, 5, 5, 9]);
-    /// assert_eq!(e.report().top_k(1)[0].item, 5);
-    /// ```
-    pub fn report(&self) -> Report<'_, I> {
-        Report { engine: self }
-    }
-
-    /// Captures the engine's full state as a portable [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot<I> {
-        self.backend.snapshot()
-    }
-
-    /// Rehydrates an engine from a snapshot; the restored engine answers
-    /// every query identically to the captured one and continues the
-    /// stream bit-identically.
-    ///
-    /// Fails with [`Error::CorruptSnapshot`] on inconsistent state, or
-    /// [`Error::Unsupported`] for weighted snapshots (use
-    /// [`WeightedEngine::from_snapshot`]).
+    /// Rehydrates an integer engine from a snapshot. `TryFrom` restores
+    /// either [`Weight`]; this spelling exists so that an unannotated
+    /// `Engine::from_snapshot(..)` infers the integer engine (Rust does not
+    /// infer a defaulted type parameter).
     ///
     /// ```
     /// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
@@ -1307,166 +1755,17 @@ impl<I: EngineItem> Engine<I> {
     /// assert_eq!(restored.estimate(&1), 2);
     /// ```
     pub fn from_snapshot(snap: Snapshot<I>) -> Result<Self, Error> {
-        let (kind, backend): (AlgoKind, Box<dyn Backend<I> + Send>) = match snap {
-            Snapshot::SpaceSaving(s) => (
-                AlgoKind::SpaceSaving,
-                Box::new(SpaceSaving::from_parts(
-                    s.capacity,
-                    s.stream_len,
-                    s.absorbed_slack,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::Frequent(s) => (
-                AlgoKind::Frequent,
-                Box::new(Frequent::from_parts(
-                    s.capacity,
-                    s.stream_len,
-                    s.decrements,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::LossyCounting(s) => (
-                AlgoKind::LossyCounting,
-                Box::new(LossyCounting::from_parts(
-                    s.width,
-                    s.window,
-                    s.stream_len,
-                    s.max_table,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::StickySampling(s) => (
-                AlgoKind::StickySampling,
-                Box::new(StickySampling::from_parts(
-                    s.epsilon,
-                    s.window,
-                    s.rate,
-                    s.until_double,
-                    s.rng_state,
-                    s.stream_len,
-                    s.max_table,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::CountMin(s) => {
-                let rule = if s.conservative {
-                    UpdateRule::Conservative
-                } else {
-                    UpdateRule::Classic
-                };
-                let sketch =
-                    CountMin::from_parts(s.depth, s.width, s.seed, rule, s.stream_len, s.cells)?;
-                (
-                    AlgoKind::CountMin,
-                    Box::new(SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)?),
-                )
-            }
-            Snapshot::CountSketch(s) => {
-                check_cs_hash_rev(s.hash_rev)?;
-                let sketch =
-                    CountSketch::from_parts(s.depth, s.width, s.seed, s.stream_len, s.cells)?;
-                (
-                    AlgoKind::CountSketch,
-                    Box::new(SketchHeavyHitters::from_parts(sketch, s.candidates, s.cap)?),
-                )
-            }
-            weighted @ (Snapshot::SpaceSavingR(_) | Snapshot::FrequentR(_)) => {
-                return Err(Error::Unsupported {
-                    algo: weighted.algo().name().to_string(),
-                    operation: "rehydrating a weighted snapshot into an unweighted Engine",
-                })
-            }
-        };
-        Ok(Engine {
-            backend,
-            kind,
-            ingest: IngestStats::default(),
-            unobserved: 0,
-        })
-    }
-
-    /// Absorbs a snapshot produced elsewhere (another process, an earlier
-    /// run) into this engine — the cross-process merge primitive.
-    ///
-    /// Counter backends replay the snapshot's stored counters (the
-    /// full-replay variant of Theorem 11's merge, so two merged `(A, B)`
-    /// summaries keep a `(3A, A+B)` tail guarantee) while folding in the
-    /// donor's bound bookkeeping — SPACESAVING error annotations, FREQUENT
-    /// decrement rounds, LOSSYCOUNTING deltas — so per-item `(lower,
-    /// upper)` intervals stay sound after the merge and `stream_len`
-    /// reports the true combined `F1`. STICKY SAMPLING merges by O(m)
-    /// table union; sketch backends add cell-wise and re-rank the
-    /// candidate union. Fails with [`Error::SnapshotMismatch`] when
-    /// algorithms (or sketch shapes) differ, and with
-    /// [`Error::CorruptSnapshot`] — leaving the engine unchanged — when a
-    /// SPACESAVING or FREQUENT donor's counts would overflow the merged
-    /// summary (or a SPACESAVING counter claims `err > count`).
-    pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        self.backend.absorb(snap)
-    }
-
-    /// Merges another engine of the same configuration into this one (see
-    /// [`Engine::merge_snapshot`]).
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let config = EngineConfig::new(AlgoKind::SpaceSaving).counters(8);
-    /// let mut a = config.build::<u64>().unwrap();
-    /// let mut b = config.build::<u64>().unwrap();
-    /// a.update_batch(&[1, 1, 2]);
-    /// b.update_batch(&[1, 3]);
-    /// a.merge(&b).unwrap();
-    /// assert_eq!(a.stream_len(), 5);
-    /// assert_eq!(a.estimate(&1), 3);
-    /// ```
-    pub fn merge(&mut self, other: &Engine<I>) -> Result<(), Error> {
-        self.backend.absorb(&other.snapshot())?;
-        // Snapshots do not carry unobserved mass; fold it in by hand so a
-        // merge of lossy engines stays sound.
-        self.unobserved = self.unobserved.saturating_add(other.unobserved);
-        Ok(())
-    }
-
-    /// Serializes the engine's snapshot to JSON.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig};
-    /// let e = EngineConfig::new(AlgoKind::SpaceSaving).counters(4).build::<u64>().unwrap();
-    /// assert!(e.to_json().unwrap().contains("space_saving"));
-    /// ```
-    pub fn to_json(&self) -> Result<String, Error>
-    where
-        I: Serialize,
-    {
-        Ok(serde_json::to_string(&self.snapshot())?)
-    }
-
-    /// Rehydrates an engine from [`Engine::to_json`] output.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, Engine, EngineConfig};
-    /// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(4).build::<u64>().unwrap();
-    /// e.update_batch(&[1, 1, 2]);
-    /// let back: Engine<u64> = Engine::from_json(&e.to_json().unwrap()).unwrap();
-    /// assert_eq!(back.estimate(&1), e.estimate(&1));
-    /// ```
-    pub fn from_json(json: &str) -> Result<Self, Error>
-    where
-        I: Deserialize,
-    {
-        let snap: Snapshot<I> = serde_json::from_str(json)?;
-        Self::from_snapshot(snap)
+        Self::try_from(snap)
     }
 }
 
 impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     fn name(&self) -> &'static str {
-        self.backend.name()
+        Engine::name(self)
     }
 
     fn capacity(&self) -> usize {
-        self.backend.capacity()
+        Engine::capacity(self)
     }
 
     // The four ingest entry points route through the inherent methods so
@@ -1494,15 +1793,15 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     fn estimate(&self, item: &I) -> u64 {
-        self.backend.estimate(item)
+        Engine::estimate(self, item)
     }
 
     fn stored_len(&self) -> usize {
-        self.backend.stored_len()
+        Engine::stored_len(self)
     }
 
     fn entries(&self) -> Vec<(I, u64)> {
-        self.backend.entries()
+        Engine::entries(self)
     }
 
     fn entries_into(&self, out: &mut Vec<(I, u64)>) {
@@ -1514,7 +1813,7 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     fn bias(&self) -> Bias {
-        self.backend.bias()
+        Engine::bias(self)
     }
 
     // The three bound queries widen by the engine's unobserved mass (see
@@ -1537,7 +1836,7 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
     }
 
     fn tail_constants(&self) -> Option<TailConstants> {
-        self.backend.tail_constants()
+        Engine::tail_constants(self)
     }
 }
 
@@ -1545,41 +1844,58 @@ impl<I: EngineItem> FrequencyEstimator<I> for Engine<I> {
 // The query surface
 // ---------------------------------------------------------------------------
 
-/// One reported item with its certified frequency interval.
+/// One reported item with its certified frequency interval (counts for an
+/// integer engine, total weights for a weighted one).
 ///
 /// `lower ≤ f_item ≤ upper` always holds for deterministic backends (for
 /// STICKY SAMPLING the bounds are the trivial ones its probabilistic
 /// guarantee allows).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportEntry<I> {
+pub struct ReportEntry<I, W = u64> {
     /// The item.
     pub item: I,
     /// The backend's point estimate.
-    pub estimate: u64,
+    pub estimate: W,
     /// Certified lower bound on the true frequency.
-    pub lower: u64,
+    pub lower: W,
     /// Certified upper bound on the true frequency.
-    pub upper: u64,
+    pub upper: W,
 }
 
 /// One reported φ-heavy hitter: a [`ReportEntry`] plus its confidence
 /// label, unified across over- and under-estimating backends.
+///
+/// The label is the same for total weights as for counts:
+///
+/// ```
+/// use hh_sketches::engine::{AlgoKind, EngineConfig};
+/// use hh_counters::Confidence;
+///
+/// let mut w = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build_weighted().unwrap();
+/// w.update_by(1u64, 70.0);
+/// w.update_by(2, 20.0);
+/// w.update_by(3, 10.0);
+/// let hh = w.report().heavy_hitters(0.5).unwrap();
+/// assert_eq!(hh.len(), 1);
+/// assert_eq!((hh[0].item, hh[0].confidence), (1, Confidence::Guaranteed));
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeavyHitterEntry<I> {
+pub struct HeavyHitterEntry<I, W = u64> {
     /// The item.
     pub item: I,
     /// The backend's point estimate.
-    pub estimate: u64,
+    pub estimate: W,
     /// Certified lower bound on the true frequency.
-    pub lower: u64,
+    pub lower: W,
     /// Certified upper bound on the true frequency.
-    pub upper: u64,
+    pub upper: W,
     /// Guaranteed (`lower > φF1`) or merely potential (`upper > φF1`).
     pub confidence: Confidence,
 }
 
 /// The one query surface every engine answers: top-k, φ-heavy hitters,
-/// residual estimation, and per-item bound intervals.
+/// residual estimation, and per-item bound intervals — over counts or
+/// real weights alike.
 ///
 /// Borrowed from [`Engine::report`]; queries never mutate the engine.
 ///
@@ -1598,12 +1914,15 @@ pub struct HeavyHitterEntry<I> {
 /// // residual mass after removing the top-1
 /// assert_eq!(report.residual(1), 4);
 /// ```
+///
+/// A weighted engine answers the same queries over total weights (see
+/// [`HeavyHitterEntry`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Report<'a, I: EngineItem> {
-    engine: &'a Engine<I>,
+pub struct Report<'a, I: EngineItem, W: Weight = u64> {
+    engine: &'a Engine<I, W>,
 }
 
-impl<I: EngineItem> Report<'_, I> {
+impl<I: EngineItem, W: Weight> Report<'_, I, W> {
     /// The certified `(lower, upper)` frequency interval for any item,
     /// stored or not.
     ///
@@ -1613,16 +1932,16 @@ impl<I: EngineItem> Report<'_, I> {
     /// e.update_batch(&[1, 1, 2]);
     /// assert_eq!(e.report().interval(&1), (2, 2)); // table not full: exact
     /// ```
-    pub fn interval(&self, item: &I) -> (u64, u64) {
-        (
-            self.engine.lower_estimate(item),
-            self.engine.upper_estimate(item),
-        )
+    pub fn interval(&self, item: &I) -> (W, W) {
+        // a lost occurrence could belong to any item: only the upper side
+        // widens by the unobserved mass
+        let (lower, upper) = self.engine.backend.interval(item);
+        (lower, upper.saturating_add(self.engine.unobserved))
     }
 
     /// Every stored entry with its bound interval, sorted by decreasing
     /// estimate (ties broken by the backend's eviction order).
-    pub fn entries(&self) -> Vec<ReportEntry<I>> {
+    pub fn entries(&self) -> Vec<ReportEntry<I, W>> {
         let mut pairs = Vec::new();
         let mut out = Vec::new();
         self.entries_into(&mut pairs, &mut out);
@@ -1644,14 +1963,14 @@ impl<I: EngineItem> Report<'_, I> {
     /// e.report().entries_into(&mut pairs, &mut rows);
     /// assert_eq!(rows[0].item, 5);
     /// ```
-    pub fn entries_into(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
+    pub fn entries_into(&self, pairs: &mut Vec<(I, W)>, out: &mut Vec<ReportEntry<I, W>>) {
         self.engine.backend.entries_into(pairs);
         self.annotate(pairs, out);
     }
 
     /// Drains `(item, estimate)` pairs into interval-annotated rows (`out`
     /// is cleared first).
-    fn annotate(&self, pairs: &mut Vec<(I, u64)>, out: &mut Vec<ReportEntry<I>>) {
+    fn annotate(&self, pairs: &mut Vec<(I, W)>, out: &mut Vec<ReportEntry<I, W>>) {
         out.clear();
         out.reserve(pairs.len());
         for (item, estimate) in pairs.drain(..) {
@@ -1677,7 +1996,7 @@ impl<I: EngineItem> Report<'_, I> {
     /// let top: Vec<u64> = e.report().top_k(2).into_iter().map(|r| r.item).collect();
     /// assert_eq!(top, vec![1, 2]);
     /// ```
-    pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I>> {
+    pub fn top_k(&self, k: usize) -> Vec<ReportEntry<I, W>> {
         let mut pairs = Vec::new();
         let mut out = Vec::new();
         self.engine.backend.top_entries_into(k, &mut pairs);
@@ -1702,19 +2021,19 @@ impl<I: EngineItem> Report<'_, I> {
     /// assert_eq!(hh[0].item, 9);
     /// assert!(e.report().heavy_hitters(1.0).is_err());
     /// ```
-    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitterEntry<I>>, Error> {
+    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitterEntry<I, W>>, Error> {
         if !(0.0..1.0).contains(&phi) {
             return Err(Error::InvalidQuery(format!(
                 "phi must be in [0, 1), got {phi}"
             )));
         }
-        let threshold = phi * self.engine.stream_len() as f64;
+        let threshold = phi * self.engine.stream_len().to_f64();
         Ok(self
             .entries()
             .into_iter()
-            .filter(|e| e.upper as f64 > threshold)
+            .filter(|e| e.upper.to_f64() > threshold)
             .map(|e| {
-                let confidence = if e.lower as f64 > threshold {
+                let confidence = if e.lower.to_f64() > threshold {
                     Confidence::Guaranteed
                 } else {
                     Confidence::Candidate
@@ -1732,364 +2051,11 @@ impl<I: EngineItem> Report<'_, I> {
 
     /// The Theorem 6 estimator of the residual tail mass `F1^res(k)`: the
     /// stream length minus the mass of the k largest counters.
-    pub fn residual(&self, k: usize) -> u64 {
-        recovery::residual_estimate(self.engine, k)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Weighted engine
-// ---------------------------------------------------------------------------
-
-/// Object-safe extension for the Section 6.1 weighted backends.
-trait WeightedBackend<I: EngineItem>: WeightedFrequencyEstimator<I> {
-    fn lower_weight(&self, item: &I) -> f64;
-    fn upper_weight(&self, item: &I) -> f64;
-    fn snapshot(&self) -> Snapshot<I>;
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error>;
-}
-
-impl<I: EngineItem> WeightedBackend<I> for SpaceSavingR<I> {
-    fn lower_weight(&self, item: &I) -> f64 {
-        self.guaranteed_weight(item)
-    }
-
-    fn upper_weight(&self, item: &I) -> f64 {
-        if self.err(item).is_some() {
-            // the absorbed slack covers weight a merged-in donor may have
-            // held for the item without storing it
-            self.estimate_weighted(item) + self.absorbed_slack()
-        } else {
-            // unstored: bounded by the minimum counter, whose lazy lookup
-            // needs &mut — fall back to the trivially sound total weight
-            self.total_weight()
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::SpaceSavingR(SpaceSavingRState {
-            capacity: self.capacity(),
-            total_weight: self.total_weight(),
-            absorbed_slack: self.absorbed_slack(),
-            entries: self.entries_with_err(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::SpaceSavingR(state) = snap else {
-            return Err(mismatch("space_saving_r", snap));
-        };
-        self.absorb_parts(&state.entries, state.capacity, state.absorbed_slack);
-        Ok(())
-    }
-}
-
-impl<I: EngineItem> WeightedBackend<I> for FrequentR<I> {
-    fn lower_weight(&self, item: &I) -> f64 {
-        self.estimate_weighted(item)
-    }
-
-    fn upper_weight(&self, item: &I) -> f64 {
-        self.estimate_weighted(item) + self.reductions()
-    }
-
-    fn snapshot(&self) -> Snapshot<I> {
-        Snapshot::FrequentR(FrequentRState {
-            capacity: self.capacity(),
-            total_weight: self.total_weight(),
-            reductions: self.reductions(),
-            entries: self.entries_weighted(),
-        })
-    }
-
-    fn absorb(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        let Snapshot::FrequentR(state) = snap else {
-            return Err(mismatch("frequent_r", snap));
-        };
-        self.absorb_parts(&state.entries, state.reductions, state.total_weight);
-        Ok(())
-    }
-}
-
-/// The uniform handle over a real-weighted backend (SPACESAVINGR or
-/// FREQUENTR; Theorem 10 preserves the `A = B = 1` tail guarantee over the
-/// weight vector).
-///
-/// ```
-/// use hh_sketches::engine::{AlgoKind, EngineConfig};
-///
-/// let mut e = EngineConfig::new(AlgoKind::SpaceSaving)
-///     .counters(8)
-///     .build_weighted::<&'static str>()
-///     .unwrap();
-/// e.update("flow-a", 120.0);
-/// e.update("flow-b", 3.5);
-/// e.update("flow-a", 40.0);
-/// assert_eq!(e.weighted_report().top_k(1)[0].item, "flow-a");
-/// ```
-pub struct WeightedEngine<I: EngineItem> {
-    backend: Box<dyn WeightedBackend<I> + Send>,
-    kind: AlgoKind,
-}
-
-impl<I: EngineItem> fmt::Debug for WeightedEngine<I> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WeightedEngine")
-            .field("algo", &self.kind)
-            .field("capacity", &self.backend.capacity())
-            .field("stored_len", &self.backend.stored_len())
-            .field("total_weight", &self.backend.total_weight())
-            .finish()
-    }
-}
-
-impl<I: EngineItem> WeightedEngine<I> {
-    /// The algorithm this engine runs (its unweighted [`AlgoKind`]).
-    pub fn algo(&self) -> AlgoKind {
-        self.kind
-    }
-
-    /// Processes an arrival of `item` with weight `w ≥ 0`.
-    pub fn update(&mut self, item: I, w: f64) {
-        self.backend.update_weighted(item, w);
-    }
-
-    /// The point estimate of the item's total weight.
-    pub fn estimate(&self, item: &I) -> f64 {
-        self.backend.estimate_weighted(item)
-    }
-
-    /// The unified weighted query surface.
-    pub fn weighted_report(&self) -> WeightedReport<'_, I> {
-        WeightedReport { engine: self }
-    }
-
-    /// Captures the engine's full state as a portable [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot<I> {
-        self.backend.snapshot()
-    }
-
-    /// Rehydrates a weighted engine from a snapshot.
-    ///
-    /// ```
-    /// use hh_sketches::engine::{AlgoKind, EngineConfig, WeightedEngine};
-    /// let mut e = EngineConfig::new(AlgoKind::Frequent).counters(4).build_weighted().unwrap();
-    /// e.update(1u64, 2.5);
-    /// let back = WeightedEngine::from_snapshot(e.snapshot()).unwrap();
-    /// assert!((back.estimate(&1) - 2.5).abs() < 1e-12);
-    /// ```
-    pub fn from_snapshot(snap: Snapshot<I>) -> Result<Self, Error> {
-        let (kind, backend): (AlgoKind, Box<dyn WeightedBackend<I> + Send>) = match snap {
-            Snapshot::SpaceSavingR(s) => (
-                AlgoKind::SpaceSaving,
-                Box::new(SpaceSavingR::from_parts(
-                    s.capacity,
-                    s.total_weight,
-                    s.absorbed_slack,
-                    s.entries,
-                )?),
-            ),
-            Snapshot::FrequentR(s) => (
-                AlgoKind::Frequent,
-                Box::new(FrequentR::from_parts(
-                    s.capacity,
-                    s.total_weight,
-                    s.reductions,
-                    s.entries,
-                )?),
-            ),
-            other => {
-                return Err(Error::Unsupported {
-                    algo: other.algo().name().to_string(),
-                    operation: "rehydrating an unweighted snapshot into a WeightedEngine",
-                })
-            }
-        };
-        Ok(WeightedEngine { backend, kind })
-    }
-
-    /// Absorbs a weighted snapshot (cross-process merge; the weighted
-    /// analogue of [`Engine::merge_snapshot`]).
-    pub fn merge_snapshot(&mut self, snap: &Snapshot<I>) -> Result<(), Error> {
-        self.backend.absorb(snap)
-    }
-
-    /// Merges another weighted engine into this one.
-    pub fn merge(&mut self, other: &WeightedEngine<I>) -> Result<(), Error> {
-        self.backend.absorb(&other.snapshot())
-    }
-
-    /// Serializes the engine's snapshot to JSON.
-    pub fn to_json(&self) -> Result<String, Error>
-    where
-        I: Serialize,
-    {
-        Ok(serde_json::to_string(&self.snapshot())?)
-    }
-
-    /// Rehydrates a weighted engine from [`WeightedEngine::to_json`]
-    /// output.
-    pub fn from_json(json: &str) -> Result<Self, Error>
-    where
-        I: Deserialize,
-    {
-        let snap: Snapshot<I> = serde_json::from_str(json)?;
-        Self::from_snapshot(snap)
-    }
-}
-
-impl<I: EngineItem> WeightedFrequencyEstimator<I> for WeightedEngine<I> {
-    fn name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    fn capacity(&self) -> usize {
-        self.backend.capacity()
-    }
-
-    fn update_weighted(&mut self, item: I, w: f64) {
-        self.backend.update_weighted(item, w)
-    }
-
-    fn estimate_weighted(&self, item: &I) -> f64 {
-        self.backend.estimate_weighted(item)
-    }
-
-    fn stored_len(&self) -> usize {
-        self.backend.stored_len()
-    }
-
-    fn entries_weighted(&self) -> Vec<(I, f64)> {
-        self.backend.entries_weighted()
-    }
-
-    fn total_weight(&self) -> f64 {
-        self.backend.total_weight()
-    }
-
-    fn tail_constants(&self) -> Option<TailConstants> {
-        self.backend.tail_constants()
-    }
-}
-
-/// One reported item of a weighted query, with its certified weight
-/// interval.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedReportEntry<I> {
-    /// The item.
-    pub item: I,
-    /// The backend's point estimate of its total weight.
-    pub estimate: f64,
-    /// Certified lower bound on the true weight.
-    pub lower: f64,
-    /// Certified upper bound on the true weight.
-    pub upper: f64,
-}
-
-/// One reported weighted φ-heavy hitter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedHeavyHitterEntry<I> {
-    /// The item.
-    pub item: I,
-    /// The backend's point estimate of its total weight.
-    pub estimate: f64,
-    /// Certified lower bound on the true weight.
-    pub lower: f64,
-    /// Certified upper bound on the true weight.
-    pub upper: f64,
-    /// Guaranteed or merely potential.
-    pub confidence: Confidence,
-}
-
-/// The weighted twin of [`Report`]: top-k, φ-heavy hitters, residual and
-/// per-item intervals over total weights.
-///
-/// ```
-/// use hh_sketches::engine::{AlgoKind, EngineConfig};
-/// use hh_counters::Confidence;
-///
-/// let mut e = EngineConfig::new(AlgoKind::SpaceSaving).counters(8).build_weighted().unwrap();
-/// e.update(1u64, 70.0);
-/// e.update(2, 20.0);
-/// e.update(3, 10.0);
-/// let hh = e.weighted_report().heavy_hitters(0.5).unwrap();
-/// assert_eq!(hh.len(), 1);
-/// assert_eq!((hh[0].item, hh[0].confidence), (1, Confidence::Guaranteed));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedReport<'a, I: EngineItem> {
-    engine: &'a WeightedEngine<I>,
-}
-
-impl<I: EngineItem> WeightedReport<'_, I> {
-    /// The certified `(lower, upper)` weight interval for any item.
-    pub fn interval(&self, item: &I) -> (f64, f64) {
-        (
-            self.engine.backend.lower_weight(item),
-            self.engine.backend.upper_weight(item),
-        )
-    }
-
-    /// Every stored entry with its weight interval, heaviest first.
-    pub fn entries(&self) -> Vec<WeightedReportEntry<I>> {
-        self.engine
-            .backend
-            .entries_weighted()
-            .into_iter()
-            .map(|(item, estimate)| {
-                let (lower, upper) = self.interval(&item);
-                WeightedReportEntry {
-                    item,
-                    estimate,
-                    lower,
-                    upper,
-                }
-            })
-            .collect()
-    }
-
-    /// The `k` heaviest entries.
-    pub fn top_k(&self, k: usize) -> Vec<WeightedReportEntry<I>> {
-        let mut entries = self.entries();
-        entries.truncate(k);
-        entries
-    }
-
-    /// The weighted φ-heavy-hitters query (threshold `phi` of the total
-    /// weight), with the same no-false-negative/labelling contract as
-    /// [`Report::heavy_hitters`].
-    pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<WeightedHeavyHitterEntry<I>>, Error> {
-        if !(0.0..1.0).contains(&phi) {
-            return Err(Error::InvalidQuery(format!(
-                "phi must be in [0, 1), got {phi}"
-            )));
-        }
-        let threshold = phi * self.engine.backend.total_weight();
-        Ok(self
-            .entries()
-            .into_iter()
-            .filter(|e| e.upper > threshold)
-            .map(|e| {
-                let confidence = if e.lower > threshold {
-                    Confidence::Guaranteed
-                } else {
-                    Confidence::Candidate
-                };
-                WeightedHeavyHitterEntry {
-                    item: e.item,
-                    estimate: e.estimate,
-                    lower: e.lower,
-                    upper: e.upper,
-                    confidence,
-                }
-            })
-            .collect())
-    }
-
-    /// The weighted Theorem 6 residual estimator: total weight minus the
-    /// mass of the k heaviest counters.
-    pub fn residual(&self, k: usize) -> f64 {
-        recovery::residual_estimate_weighted(self.engine, k)
+    pub fn residual(&self, k: usize) -> W {
+        let mut top = Vec::new();
+        self.engine.backend.top_entries_into(k, &mut top);
+        let recovered: W = top.into_iter().map(|(_, c)| c).sum();
+        self.engine.stream_len().saturating_sub(recovered)
     }
 }
 
@@ -2271,12 +2237,12 @@ mod tests {
         for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
             let config = EngineConfig::new(algo).counters(8);
             let mut a = config.build_weighted::<u64>().unwrap();
-            a.update(1, 5.0);
-            a.update(2, 2.5);
-            let back = WeightedEngine::from_json(&a.to_json().unwrap()).unwrap();
+            a.update_by(1, 5.0);
+            a.update_by(2, 2.5);
+            let back: Engine<u64, f64> = Engine::from_json(&a.to_json().unwrap()).unwrap();
             assert!((back.estimate(&1) - a.estimate(&1)).abs() < 1e-12, "{algo}");
             let mut b = config.build_weighted::<u64>().unwrap();
-            b.update(1, 3.0);
+            b.update_by(1, 3.0);
             a.merge(&b).unwrap();
             assert!(a.estimate(&1) >= 8.0 - 1e-9, "{algo}");
         }
@@ -2288,7 +2254,7 @@ mod tests {
             .counters(4)
             .build::<u64>()
             .unwrap();
-        assert!(WeightedEngine::from_snapshot(e.snapshot()).is_err());
+        assert!(Engine::<u64, f64>::try_from(e.snapshot()).is_err());
         let w = EngineConfig::new(AlgoKind::SpaceSaving)
             .counters(4)
             .build_weighted::<u64>()
@@ -2427,6 +2393,68 @@ mod tests {
                 engine.merge(&twin),
                 Err(Error::CorruptSnapshot(_))
             ));
+        }
+    }
+
+    /// A weighted donor that `from_parts` would reject fails the merge with
+    /// a typed error, never a panic, a skipped counter or a clamped bound,
+    /// and the receiver is left as it was. So does a donor whose weights
+    /// overflow the merged summary to infinity.
+    #[test]
+    fn corrupt_weighted_merges_are_rejected() {
+        let ss = |absorbed_slack, entries: &[(u64, f64, f64)]| {
+            let entries = entries.to_vec();
+            let (capacity, total_weight) = (4, 3.0);
+            Snapshot::SpaceSavingR(SpaceSavingRState {
+                capacity,
+                total_weight,
+                absorbed_slack,
+                entries,
+            })
+        };
+        let fr = |reductions, entries: &[(u64, f64)]| {
+            let entries = entries.to_vec();
+            let (capacity, total_weight) = (4, 3.0);
+            Snapshot::FrequentR(FrequentRState {
+                capacity,
+                total_weight,
+                reductions,
+                entries,
+            })
+        };
+        let (inf, nan, big) = (f64::INFINITY, f64::NAN, f64::MAX * 0.6);
+        let donors = [
+            ss(0.0, &[(1, inf, 0.0)]),
+            ss(0.0, &[(1, nan, 0.0)]),
+            ss(0.0, &[(1, -5.0, 0.0)]),
+            ss(0.0, &[(1, 3.0, 4.0)]),
+            ss(-1.0, &[(1, 3.0, 0.0)]),
+            ss(nan, &[(1, 3.0, 0.0)]),
+            ss(0.0, &[(1, big, 0.0), (2, big, 0.0)]),
+            fr(0.0, &[(1, inf)]),
+            fr(0.0, &[(1, nan)]),
+            fr(0.0, &[(1, -5.0)]),
+            fr(-1.0, &[(1, 3.0)]),
+            fr(nan, &[(1, 3.0)]),
+            fr(big, &[(1, big)]),
+            fr(0.0, &[(1, big), (2, big)]),
+        ];
+        for donor in &donors {
+            let config = EngineConfig::new(donor.algo()).counters(4);
+            let mut engine = config.build_weighted::<u64>().unwrap();
+            engine.update_by(7, 2.5);
+            engine.update_by(8, 1.0);
+            let before = engine.snapshot();
+            let result = engine.merge_snapshot(donor);
+            assert!(
+                matches!(result, Err(Error::CorruptSnapshot(_))),
+                "{donor:?}"
+            );
+            assert_eq!(
+                engine.snapshot(),
+                before,
+                "a rejected merge changes nothing"
+            );
         }
     }
 

@@ -29,7 +29,7 @@ pub use count_min::{CountMin, UpdateRule};
 pub use count_sketch::CountSketch;
 pub use dyadic::DyadicCountMin;
 pub use engine::{
-    AlgoKind, CapacitySpec, Engine, EngineConfig, IngestStats, Report, Snapshot, WeightedEngine,
+    AlgoKind, CapacitySpec, Engine, EngineConfig, IngestStats, Report, Snapshot, Weight,
 };
 pub use pipeline::{Pipeline, PipelineConfig, PipelineStats, Routing, ShardIngest, ShardStats};
 pub use topk_tracker::SketchHeavyHitters;

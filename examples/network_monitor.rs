@@ -20,12 +20,12 @@ fn main() {
 
     // Track byte counts with 64 counters through the weighted engine.
     let m = 64;
-    let mut monitor: WeightedEngine<u64> = EngineConfig::new(AlgoKind::SpaceSaving)
+    let mut monitor: Engine<u64, f64> = EngineConfig::new(AlgoKind::SpaceSaving)
         .counters(m)
         .build_weighted()
         .expect("valid config");
     for &(flow, bytes) in &trace.updates {
-        monitor.update(flow, bytes);
+        monitor.update_by(flow, bytes);
     }
 
     // Ground truth for comparison (a real monitor wouldn't have this!).
@@ -36,7 +36,7 @@ fn main() {
         "{:>8}  {:>12}  {:>12}  {:>9}",
         "flow", "estimated", "exact", "rel err"
     );
-    let report = monitor.weighted_report();
+    let report = monitor.report();
     for entry in report.top_k(10) {
         let exact = oracle.weight(&entry.item);
         println!(

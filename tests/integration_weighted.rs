@@ -116,3 +116,67 @@ fn weighted_totals_preserved() {
     let sum: f64 = ssr.entries_weighted().iter().map(|&(_, w)| w).sum();
     assert!((sum - t.total_weight()).abs() < 1e-6 * t.total_weight());
 }
+
+/// Every certified interval of `engine` brackets the exact weight, within
+/// float tolerance.
+fn assert_brackets(engine: &Engine<u64, f64>, oracle: &ExactWeightedCounter<u64>, what: &str) {
+    let tol = 1e-9 * oracle.total();
+    let report = engine.report();
+    for (item, w) in oracle.sorted_weights() {
+        let (lower, upper) = report.interval(&item);
+        assert!(
+            lower <= w + tol && w <= upper + tol,
+            "{what}: item {item} weight {w} outside [{lower}, {upper}]"
+        );
+    }
+}
+
+/// Theorem 10's certificate through the engine, against the exact oracle:
+/// each weighted algorithm summarizes the two halves of a packet trace,
+/// one half travels through JSON, and the halves merge (Theorem 11). Every
+/// interval brackets the exact weight before and after the merge, and the
+/// merged φ-heavy-hitters query misses no flow above `φ·F1`.
+#[test]
+fn weighted_certificate_survives_json_and_merge() {
+    let (m, phi) = (64, 0.01);
+    for algo in [AlgoKind::SpaceSaving, AlgoKind::Frequent] {
+        for seed in 1..=5 {
+            let t = trace(seed);
+            let (left, right) = t.updates.split_at(t.updates.len() / 2);
+            let config = EngineConfig::new(algo).counters(m);
+            let summarize = |half: &[(u64, f64)]| {
+                let mut e = config.build_weighted::<u64>().expect("weighted algo");
+                for &(i, w) in half {
+                    e.update_by(i, w);
+                }
+                assert_brackets(&e, &ExactWeightedCounter::from_stream(half), "half");
+                e
+            };
+            let mut merged = summarize(left);
+            let shipped: Engine<u64, f64> =
+                Engine::from_json(&summarize(right).to_json().expect("serializes"))
+                    .expect("rehydrates");
+            assert_brackets(
+                &shipped,
+                &ExactWeightedCounter::from_stream(right),
+                "rehydrated half",
+            );
+            merged.merge(&shipped).expect("same config");
+
+            let oracle = ExactWeightedCounter::from_stream(&t.updates);
+            assert_brackets(&merged, &oracle, &format!("{algo} seed {seed} merged"));
+            let hits: Vec<u64> = merged
+                .report()
+                .heavy_hitters(phi)
+                .expect("phi in range")
+                .into_iter()
+                .map(|h| h.item)
+                .collect();
+            for (item, w) in oracle.sorted_weights() {
+                if w > phi * oracle.total() {
+                    assert!(hits.contains(&item), "{algo} seed {seed}: missed {item}");
+                }
+            }
+        }
+    }
+}
